@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 
 use actor_core::TrainedModel;
-use embed::hogwild;
 use embed::{EmbeddingStore, NegativeSamplingUpdate};
 use mobility::{Corpus, SECONDS_PER_DAY};
 use rand::Rng;
@@ -152,14 +151,12 @@ pub fn train_crossmap(
     let per_round = n_types * batch + 2 * smooth_per_round;
     let rounds = (params.samples / per_round).max(1);
 
-    hogwild::run(params.threads, rounds, params.seed ^ 0xC0, |_, rng, n| {
+    par::run_seeded(params.threads, rounds, params.seed ^ 0xC0, |rng, n| {
         let mut upd = NegativeSamplingUpdate::new(params.dim, params.sgd);
         let lr0 = params.sgd.learning_rate;
         for round in 0..n {
-            if n > 0 {
-                let progress = round as f32 / n as f32;
-                upd.set_learning_rate(lr0 * (1.0 - 0.9 * progress));
-            }
+            let progress = round as f32 / n as f32;
+            upd.set_learning_rate(lr0 * (1.0 - 0.9 * progress));
             for &ty in &edge_types {
                 let Some(sampler) = samplers.get(&ty) else {
                     continue;

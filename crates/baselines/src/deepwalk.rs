@@ -7,7 +7,6 @@
 //! return-bias knob, then skip-gram with negative sampling.
 
 use actor_core::TrainedModel;
-use embed::hogwild;
 use embed::{EmbeddingStore, NegativeSamplingUpdate, SgdParams};
 use mobility::Corpus;
 use rand::Rng;
@@ -149,7 +148,7 @@ pub fn train_deepwalk(
     let pairs_per_walk = (dw.walk_length * dw.window) as u64 * work_ratio;
     let n_walks = (params.samples / pairs_per_walk).max(1);
 
-    hogwild::run(params.threads, n_walks, params.seed ^ 0xd33b, |_, rng, n| {
+    par::run_seeded(params.threads, n_walks, params.seed ^ 0xd33b, |rng, n| {
         let sgd = SgdParams {
             negatives: dw.negatives,
             ..params.sgd
@@ -158,10 +157,8 @@ pub fn train_deepwalk(
         let lr0 = params.sgd.learning_rate;
         let mut walk: Vec<u32> = Vec::with_capacity(dw.walk_length);
         for walk_idx in 0..n {
-            if n > 0 {
-                let progress = walk_idx as f32 / n as f32;
-                upd.set_learning_rate(lr0 * (1.0 - 0.9 * progress));
-            }
+            let progress = walk_idx as f32 / n as f32;
+            upd.set_learning_rate(lr0 * (1.0 - 0.9 * progress));
             walk.clear();
             let mut cur = starts[rng.random_range(0..starts.len())];
             let mut prev = None;

@@ -8,7 +8,6 @@
 //! user graph is too sparse to walk (§6.2.3), hence its mid-table rank.
 
 use actor_core::TrainedModel;
-use embed::hogwild;
 use embed::{EmbeddingStore, NegativeSamplingUpdate, SgdParams};
 use mobility::Corpus;
 use rand::Rng;
@@ -156,7 +155,7 @@ pub fn train_metapath2vec(
     let n_walks = (params.samples / pairs_per_walk).max(1);
 
     if !starts.is_empty() {
-        hogwild::run(params.threads, n_walks, params.seed ^ 0x3e7a, |_, rng, n| {
+        par::run_seeded(params.threads, n_walks, params.seed ^ 0x3e7a, |rng, n| {
             let sgd = SgdParams {
                 negatives: mp.negatives,
                 ..params.sgd
@@ -165,10 +164,8 @@ pub fn train_metapath2vec(
             let lr0 = params.sgd.learning_rate;
             let mut walk: Vec<NodeId> = Vec::with_capacity(mp.walk_length);
             for walk_idx in 0..n {
-                if n > 0 {
-                    let progress = walk_idx as f32 / n as f32;
-                    upd.set_learning_rate(lr0 * (1.0 - 0.9 * progress));
-                }
+                let progress = walk_idx as f32 / n as f32;
+                upd.set_learning_rate(lr0 * (1.0 - 0.9 * progress));
                 // Generate one walk following the cyclic type pattern.
                 walk.clear();
                 let mut cur = starts[rng.random_range(0..starts.len())];

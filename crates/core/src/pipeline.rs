@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use embed::hogwild;
 use embed::{EmbeddingStore, LineOrder, LineParams, LineTrainer, NegativeSamplingUpdate};
 use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::{Corpus, GeoPoint, RecordId};
@@ -320,13 +319,6 @@ pub(crate) struct SegmentStats {
     pub updates: u64,
 }
 
-/// Per-thread bucket merge target plus segment loss totals.
-struct TraceMerge {
-    buckets: Vec<(f64, u64)>,
-    loss: f64,
-    updates: u64,
-}
-
 /// Lines 5–11: alternate inter-record and intra-record mini-batches over
 /// epochs `[epoch_start, epoch_end)` of a `config.max_epochs` schedule.
 ///
@@ -337,8 +329,9 @@ struct TraceMerge {
 /// mechanism, not as an equal-weight prior over edge types).
 ///
 /// Work is split as `epochs × batches_per_type` rounds distributed over
-/// Hogwild threads, so the total sample budget is independent of the
-/// thread count (required by the weak-scaling experiment, Fig. 12c).
+/// Hogwild threads by `par::run_seeded`, so the total sample budget is
+/// independent of the thread count (required by the weak-scaling
+/// experiment, Fig. 12c).
 /// Annealing progress and trace buckets are computed against the *whole*
 /// schedule, so a run cut into checkpointed segments anneals exactly like
 /// an uninterrupted one. `lr_scale` multiplies the learning rate
@@ -361,11 +354,6 @@ pub(crate) fn train_epoch_range(
     let edge_samplers = &prep.edge_samplers;
     let neg_tables = &prep.neg_tables;
 
-    let merged = parking_lot::Mutex::new(TraceMerge {
-        buckets: new_trace(),
-        loss: 0.0,
-        updates: 0,
-    });
     // Live-throughput counter, flushed once per round (~7m updates) so the
     // SGD hot path never touches shared state.
     let updates_done = obs::counter("core.train.updates");
@@ -410,7 +398,7 @@ pub(crate) fn train_epoch_range(
         (config.seed ^ 0xAC7) ^ (epoch_start as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let whole_run = epoch_start == 0 && epoch_end == total_epochs;
 
-    hogwild::run(config.threads, rounds, seed, |_, rng, n| {
+    let shard_traces = par::run_seeded(config.threads, rounds, seed, |rng, n| {
         let mut upd = NegativeSamplingUpdate::new(config.dim, config.sgd());
         let lr0 = config.learning_rate;
         if lr_scale != 1.0 {
@@ -425,7 +413,7 @@ pub(crate) fn train_epoch_range(
             // (e₀·n + span·round) / (E·n). The whole-run case uses the
             // reduced form round/n, which is the historical f32 sequence
             // bit for bit.
-            if config.anneal && n > 0 {
+            if config.anneal {
                 let progress = if whole_run {
                     round as f32 / n as f32
                 } else {
@@ -478,26 +466,26 @@ pub(crate) fn train_epoch_range(
             local[bucket].1 += round_updates;
             updates_done.add(round_updates);
         }
-        let mut merge = merged.lock();
-        for (m, &(sum, count)) in merge.buckets.iter_mut().zip(&local) {
-            m.0 += sum;
-            m.1 += count;
-        }
-        merge.loss += local.iter().map(|&(sum, _)| sum).sum::<f64>();
-        merge.updates += local.iter().map(|&(_, count)| count).sum::<u64>();
+        local
     });
-    let merge = merged.into_inner();
-    for (t, &(sum, count)) in trace.iter_mut().zip(&merge.buckets) {
-        t.0 += sum;
-        t.1 += count;
+    // Merge in shard order, so a given set of shard traces always sums
+    // the same way.
+    let (mut loss, mut updates) = (0.0f64, 0u64);
+    for local in &shard_traces {
+        for (t, &(sum, count)) in trace.iter_mut().zip(local) {
+            t.0 += sum;
+            t.1 += count;
+        }
+        loss += local.iter().map(|&(sum, _)| sum).sum::<f64>();
+        updates += local.iter().map(|&(_, count)| count).sum::<u64>();
     }
     SegmentStats {
-        mean_loss: if merge.updates == 0 {
+        mean_loss: if updates == 0 {
             0.0
         } else {
-            merge.loss / merge.updates as f64
+            loss / updates as f64
         },
-        updates: merge.updates,
+        updates,
     }
 }
 

@@ -14,12 +14,14 @@
 //! * [`store`] — center/context matrices with lock-free shared mutation
 //!   behind an explicit Hogwild contract,
 //! * [`sgd`] — the per-edge negative-sampling update,
-//! * [`hogwild`] — scoped-thread parallel driver,
 //! * [`mod@line`] — LINE (first/second order) for arbitrary weighted graphs:
 //!   the user-layer pre-trainer of Algorithm 1 line 3 and the LINE
 //!   baseline of Table 2.
+//!
+//! Trainers split their sample budget over threads with
+//! `par::run_seeded`, the workspace's one thread driver, which hands each
+//! shard its own seeded RNG.
 
-pub mod hogwild;
 pub mod line;
 pub mod math;
 pub mod sgd;

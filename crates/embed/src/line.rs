@@ -8,7 +8,6 @@
 
 use rand::Rng;
 
-use crate::hogwild;
 use crate::sgd::{NegativeSamplingUpdate, SgdParams};
 use crate::store::EmbeddingStore;
 use stgraph::AliasTable;
@@ -136,7 +135,7 @@ impl LineTrainer {
     pub fn train_into(&self, store: &EmbeddingStore, params: LineParams) {
         let _span = obs::span!("embed.line.train");
         let samples_done = obs::counter("embed.line.samples");
-        hogwild::run(params.threads, params.samples, params.seed, |_, rng, n| {
+        par::run_seeded(params.threads, params.samples, params.seed, |rng, n| {
             let mut upd = NegativeSamplingUpdate::new(params.dim, params.sgd);
             let lr0 = params.sgd.learning_rate;
             let mut flushed = 0u64;
@@ -144,7 +143,7 @@ impl LineTrainer {
                 // Linear annealing to 10% of the initial rate (LINE's
                 // schedule), tracked per thread. The same cadence batches
                 // the live-progress counter flush.
-                if n > 0 && i % 1024 == 0 {
+                if i % 1024 == 0 {
                     let progress = i as f32 / n as f32;
                     upd.set_learning_rate(lr0 * (1.0 - 0.9 * progress));
                     if i > 0 {

@@ -89,7 +89,7 @@ proptest! {
 fn hogwild_stress_shared_rows() {
     let mut rng = StdRng::seed_from_u64(9);
     let store = EmbeddingStore::init(8, 32, &mut rng);
-    embed::hogwild::run(4, 40_000, 9, |_, rng, n| {
+    par::run_seeded(4, 40_000, 9, |rng, n| {
         let mut upd = NegativeSamplingUpdate::new(
             32,
             SgdParams {

@@ -10,8 +10,7 @@
 //! (`embed::math::dot_unit` over rows normalized once per snapshot), the
 //! reusable search scratch, and the result cache, so repeated queries no
 //! longer clone query vectors or rebuild candidate lists per call. Build a
-//! [`NeighborSearcher`] once and reuse it; the free functions remain for
-//! one-off queries and construct a throwaway searcher internally.
+//! [`NeighborSearcher`] once and reuse it for every query.
 
 use actor_core::TrainedModel;
 use mobility::{types::format_time_of_day, GeoPoint};
@@ -101,28 +100,6 @@ impl NeighborSearcher {
     }
 }
 
-/// Runs a spatial query: the hotspot nearest `point` (Fig. 9).
-///
-/// One-off convenience; for repeated queries build a [`NeighborSearcher`].
-pub fn spatial_query(model: &TrainedModel, point: GeoPoint, k: usize) -> NeighborReport {
-    NeighborSearcher::new(model).spatial(point, k)
-}
-
-/// Runs a temporal query: the hotspot nearest a second-of-day (Fig. 10).
-///
-/// One-off convenience; for repeated queries build a [`NeighborSearcher`].
-pub fn temporal_query(model: &TrainedModel, second_of_day: f64, k: usize) -> NeighborReport {
-    NeighborSearcher::new(model).temporal(second_of_day, k)
-}
-
-/// Runs a textual query on a vocabulary keyword (Fig. 11). Returns `None`
-/// for out-of-vocabulary words.
-///
-/// One-off convenience; for repeated queries build a [`NeighborSearcher`].
-pub fn textual_query(model: &TrainedModel, word: &str, k: usize) -> Option<NeighborReport> {
-    NeighborSearcher::new(model).textual(word, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,23 +118,23 @@ mod tests {
 
     #[test]
     fn queries_return_k_results_per_modality() {
-        let m = model();
-        let r = spatial_query(&m, GeoPoint::new(30.3, -97.7), 5);
+        let searcher = NeighborSearcher::new(&model());
+        let r = searcher.spatial(GeoPoint::new(30.3, -97.7), 5);
         assert_eq!(r.words.len(), 5);
         assert_eq!(r.places.len(), 5);
         assert!(r.times.len() <= 5 && !r.times.is_empty());
         assert!(r.query.starts_with("location"));
 
-        let r = temporal_query(&m, 22.0 * 3600.0, 4);
+        let r = searcher.temporal(22.0 * 3600.0, 4);
         assert_eq!(r.words.len(), 4);
         assert!(r.query.starts_with("time 22:00"));
     }
 
     #[test]
     fn textual_query_handles_oov() {
-        let m = model();
-        assert!(textual_query(&m, "definitely_not_a_word_xyz", 3).is_none());
-        let r = textual_query(&m, "beach", 3).unwrap();
+        let searcher = NeighborSearcher::new(&model());
+        assert!(searcher.textual("definitely_not_a_word_xyz", 3).is_none());
+        let r = searcher.textual("beach", 3).unwrap();
         // The query word itself tops its own neighbor list.
         assert_eq!(r.words[0].0, "beach");
         assert!(r.words[0].1 > 0.99);
@@ -165,8 +142,7 @@ mod tests {
 
     #[test]
     fn scores_are_sorted_descending() {
-        let m = model();
-        let r = spatial_query(&m, GeoPoint::new(30.2, -97.8), 8);
+        let r = NeighborSearcher::new(&model()).spatial(GeoPoint::new(30.2, -97.8), 8);
         for pair in r.words.windows(2) {
             assert!(pair[0].1 >= pair[1].1);
         }

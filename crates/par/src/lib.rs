@@ -1,21 +1,29 @@
-//! `actor-par` — deterministic scoped-thread data parallelism for the
-//! preprocessing pipeline.
+//! `actor-par` — deterministic scoped-thread data parallelism: the one
+//! thread driver of the workspace.
 //!
-//! Training already scales across cores through the Hogwild driver
-//! (`embed::hogwild`); this crate gives the stages *in front* of it —
-//! hotspot detection, co-occurrence counting, alias/negative-table
-//! construction, meta-graph instance counting — the same treatment,
-//! generalizing the Hogwild shard-splitting contract:
+//! Two kinds of work run on it:
+//!
+//! * **Preprocessing** — hotspot detection, co-occurrence counting,
+//!   alias/negative-table construction, meta-graph instance counting —
+//!   through the combinators [`par_map_chunks`], [`par_map`],
+//!   [`par_for_shards`] and [`par_accumulate`], with the worker count from
+//!   [`threads`].
+//! * **SGD training** — the ACTOR trainer, LINE and the walk/edge
+//!   baselines — through [`run_seeded`], which splits a sample budget
+//!   over an explicit thread count and hands each shard its own seeded
+//!   RNG (Hogwild-style: shards race benignly on shared embeddings).
+//!
+//! Both share one contract:
 //!
 //! * **Deterministic shard boundaries** — [`shards`] cuts `len` items into
-//!   contiguous ranges whose sizes differ by at most one, exactly like the
-//!   Hogwild sample split (`base + u64::from(t < extra)`).
-//! * **Per-shard seeds** — [`shard_seed`] reproduces the Hogwild
-//!   golden-ratio stream derivation, so sharded randomized stages can keep
-//!   seed-stable streams per shard.
-//! * **`ACTOR_THREADS` override** — [`threads`] resolves the worker count
-//!   from the programmatic override, then the `ACTOR_THREADS` environment
-//!   variable, then the machine's available parallelism.
+//!   contiguous ranges whose sizes differ by at most one.
+//! * **Per-shard seeds** — [`shard_seed`] derives shard `s`'s stream from
+//!   a base seed by a golden-ratio multiple, so shards stay decorrelated
+//!   yet exactly reproducible.
+//! * **`ACTOR_THREADS` override** — [`threads`] resolves the
+//!   preprocessing worker count from the programmatic override, then the
+//!   `ACTOR_THREADS` environment variable, then the machine's available
+//!   parallelism. Training thread counts are explicit arguments instead.
 //!
 //! The central correctness requirement of the parallel front-end is that
 //! **parallel output is bit-identical to serial output** for any thread
@@ -26,17 +34,20 @@
 //! workspace root holds the pipeline to it.
 //!
 //! All spawning uses `std::thread::scope`, so borrowed inputs need no
-//! `'static` bounds and a panicking shard is re-raised on the caller with
-//! the shard named (mirroring the Hogwild driver's diagnostics).
+//! `'static` bounds. Shard 0 runs on the calling thread, and a panicking
+//! shard is re-raised on the caller with the shard named.
 
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Environment variable overriding the preprocessing thread count.
 pub const ENV_THREADS: &str = "ACTOR_THREADS";
 
-/// Golden-ratio multiplier of the Hogwild per-thread seed derivation.
+/// Golden-ratio multiplier of the per-shard seed derivation.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Programmatic thread-count override (0 = unset). Takes precedence over
@@ -92,9 +103,9 @@ pub fn override_threads(n: usize) -> ThreadsOverride {
 }
 
 /// Cuts `0..len` into at most `n_shards` contiguous ranges whose sizes
-/// differ by at most one — the Hogwild split applied to item index space.
-/// Empty trailing shards are not emitted: `shards(3, 8)` is three ranges
-/// of one item each. `shards(0, n)` is empty. Panics if `n_shards == 0`.
+/// differ by at most one, longer ranges first. Empty trailing shards are
+/// not emitted: `shards(3, 8)` is three ranges of one item each.
+/// `shards(0, n)` is empty. Panics if `n_shards == 0`.
 pub fn shards(len: usize, n_shards: usize) -> Vec<Range<usize>> {
     assert!(n_shards > 0, "need at least one shard");
     let n = n_shards.min(len);
@@ -114,26 +125,27 @@ pub fn shards(len: usize, n_shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// The deterministic RNG seed of `shard` under base `seed` — the same
-/// golden-ratio derivation the Hogwild driver gives worker `shard`, so a
-/// sharded stage and a training run derived from one seed stay
-/// decorrelated per shard yet exactly reproducible.
+/// The deterministic RNG seed of `shard` under base `seed`: a golden-ratio
+/// multiple mixed into the base, so shards derived from one seed stay
+/// decorrelated yet exactly reproducible.
 #[inline]
 pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     seed ^ GOLDEN.wrapping_mul(shard as u64 + 1)
 }
 
-/// Runs `f(shard_index, range)` once per shard of `0..len` across
-/// [`threads`] workers and returns the results in shard order.
+/// Runs `f(shard_index, range)` once per shard of `0..len` over at most
+/// `n_shards` threads and returns the results in shard order.
 ///
 /// Shard 0 runs on the calling thread (a one-shard region spawns
-/// nothing); a panicking shard is re-raised here naming the shard.
-fn run_sharded<R, F>(len: usize, f: F) -> Vec<R>
+/// nothing). A panicking shard of a multi-shard region is re-raised here,
+/// named (`par shard 2 of 4 panicked: …`); when several panic, the
+/// lowest-numbered one is reported.
+fn run_sharded<R, F>(len: usize, n_shards: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize, Range<usize>) -> R + Sync,
 {
-    let ranges = shards(len, threads());
+    let ranges = shards(len, n_shards);
     let n = ranges.len();
     obs::counter("par.regions").incr();
     obs::histogram("par.shards").record(n as u64);
@@ -150,10 +162,11 @@ where
                     scope.spawn(move || f(i + 1, r))
                 })
                 .collect();
+            let first = catch_unwind(AssertUnwindSafe(|| f(0, ranges[0].clone())));
+            let joined = std::iter::once(first).chain(handles.into_iter().map(|h| h.join()));
             let mut out = Vec::with_capacity(n);
-            out.push(f(0, ranges[0].clone()));
-            for (i, h) in handles.into_iter().enumerate() {
-                match h.join() {
+            for (s, result) in joined.enumerate() {
+                match result {
                     Ok(v) => out.push(v),
                     Err(payload) => {
                         let detail = payload
@@ -161,13 +174,42 @@ where
                             .map(String::as_str)
                             .or_else(|| payload.downcast_ref::<&'static str>().copied())
                             .unwrap_or("<non-string panic payload>");
-                        panic!("par shard {} of {n} panicked: {detail}", i + 1);
+                        panic!("par shard {s} of {n} panicked: {detail}");
                     }
                 }
             }
             out
         }),
     }
+}
+
+/// Splits `samples` units of seeded work over `n_threads` shards (see
+/// [`shards`]) and returns each shard's `f(rng, shard_samples)` in shard
+/// order. This drives every SGD trainer.
+///
+/// A one-thread run seeds its RNG from `seed` itself; with more threads,
+/// shard `s` uses [`shard_seed`]`(seed, s)`. Single-threaded runs are
+/// therefore exactly reproducible per seed; multi-threaded runs race
+/// benignly on shared embedding matrices (the Hogwild contract of
+/// `embed::store::Matrix`). A budget smaller than `n_threads` runs only
+/// `samples` shards of one sample each, and a zero budget runs nothing.
+///
+/// Panics if `n_threads == 0`, or if a shard panics (re-raised naming
+/// the shard, like every combinator here).
+pub fn run_seeded<R, F>(n_threads: usize, samples: u64, seed: u64, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&mut StdRng, u64) -> R + Sync,
+{
+    let len = usize::try_from(samples).expect("sample budget exceeds usize");
+    run_sharded(len, n_threads, |s, range| {
+        let seed = if n_threads == 1 {
+            seed
+        } else {
+            shard_seed(seed, s)
+        };
+        f(&mut StdRng::seed_from_u64(seed), range.len() as u64)
+    })
 }
 
 /// Maps contiguous chunks of `items` in parallel: `f(shard_index, chunk)`
@@ -180,7 +222,7 @@ where
     R: Send,
     F: Fn(usize, &[T]) -> R + Sync,
 {
-    run_sharded(items.len(), |s, range| f(s, &items[range]))
+    run_sharded(items.len(), threads(), |s, range| f(s, &items[range]))
 }
 
 /// Maps every item of `items` in parallel, preserving item order:
@@ -193,7 +235,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_sharded(items.len(), |_, range| {
+    run_sharded(items.len(), threads(), |_, range| {
         range
             .map(|i| f(i, &items[i]))
             .collect::<Vec<R>>()
@@ -210,7 +252,7 @@ pub fn par_for_shards<F>(len: usize, f: F)
 where
     F: Fn(usize, Range<usize>) + Sync,
 {
-    run_sharded(len, f);
+    run_sharded(len, threads(), f);
 }
 
 /// Sharded accumulate-then-merge reduction: each shard folds its items
@@ -230,7 +272,7 @@ where
     F: Fn(&mut A, usize, &T) + Sync,
     M: FnMut(&mut A, A),
 {
-    let mut accs = run_sharded(items.len(), |_, range| {
+    let mut accs = run_sharded(items.len(), threads(), |_, range| {
         let mut acc = init();
         for i in range {
             fold(&mut acc, i, &items[i]);
@@ -277,8 +319,8 @@ mod tests {
     }
 
     #[test]
-    fn shards_match_hogwild_split() {
-        // 1003 samples over 4 threads: hogwild gives base=250, extra=3.
+    fn shards_put_the_remainder_first() {
+        // 1003 over 4: base 250, and the first 3 shards take one extra.
         let s = shards(1003, 4);
         assert_eq!(
             s.iter().map(|r| r.len()).collect::<Vec<_>>(),
@@ -380,21 +422,88 @@ mod tests {
     }
 
     #[test]
-    fn shard_panic_is_reraised_with_context() {
-        let result = std::panic::catch_unwind(|| {
-            let _guard = override_threads(4);
-            par_for_shards(100, |s, _| {
-                if s == 2 {
-                    panic!("shard data corrupt");
-                }
-            });
-        });
+    fn seeded_shards_cover_the_budget() {
+        assert_eq!(run_seeded(4, 1003, 1, |_, n| n), vec![251, 251, 251, 250]);
+        assert_eq!(run_seeded(1, 17, 2, |_, n| n), vec![17]);
+    }
+
+    #[test]
+    fn small_budgets_run_only_non_empty_shards() {
+        assert_eq!(run_seeded(8, 3, 5, |_, n| n), vec![1, 1, 1]);
+        assert!(run_seeded(4, 0, 9, |_, n| n).is_empty());
+    }
+
+    #[test]
+    fn one_thread_uses_the_base_seed_and_shards_use_shard_seeds() {
+        use rand::Rng;
+        let first_draw = |seed: u64| StdRng::seed_from_u64(seed).random::<u64>();
+        assert_eq!(
+            run_seeded(1, 5, 7, |rng, _| rng.random::<u64>()),
+            vec![first_draw(7)]
+        );
+        let draws = run_seeded(3, 3, 7, |rng, _| rng.random::<u64>());
+        let expected: Vec<u64> = (0..3).map(|s| first_draw(shard_seed(7, s))).collect();
+        assert_eq!(draws, expected);
+    }
+
+    #[test]
+    fn thread_rngs_differ() {
+        use rand::Rng;
+        let d = run_seeded(3, 3, 7, |rng, _| rng.random::<u64>());
+        assert_eq!(d.len(), 3);
+        assert_ne!(d[0], d[1]);
+        assert_ne!(d[1], d[2]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_threads_rejected() {
+        run_seeded(0, 10, 0, |_, _| {});
+    }
+
+    fn panic_message(result: std::thread::Result<()>) -> String {
         let payload = result.unwrap_err();
-        let msg = payload
+        payload
             .downcast_ref::<String>()
             .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("par shard 2 of 4 panicked"), "{msg}");
-        assert!(msg.contains("shard data corrupt"), "{msg}");
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn shard_panic_is_reraised_with_context() {
+        for failing in [0, 2] {
+            let msg = panic_message(std::panic::catch_unwind(|| {
+                let _guard = override_threads(4);
+                par_for_shards(100, |s, _| {
+                    if s == failing {
+                        panic!("shard data corrupt");
+                    }
+                });
+            }));
+            assert!(
+                msg.contains(&format!("par shard {failing} of 4 panicked")),
+                "{msg}"
+            );
+            assert!(msg.contains("shard data corrupt"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn two_concurrent_shard_panics_report_the_lowest_shard() {
+        use std::sync::Barrier;
+        // Both shards reach the barrier, then panic together; the driver
+        // must re-raise the lowest-numbered one deterministically.
+        let barrier = Barrier::new(2);
+        let msg = panic_message(std::panic::catch_unwind(|| {
+            let _guard = override_threads(4);
+            par_for_shards(100, |s, _| {
+                if s == 1 || s == 3 {
+                    barrier.wait();
+                    panic!("shard {s} corrupt");
+                }
+            });
+        }));
+        assert!(msg.contains("par shard 1 of 4 panicked"), "{msg}");
+        assert!(msg.contains("shard 1 corrupt"), "{msg}");
     }
 }

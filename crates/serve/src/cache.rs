@@ -16,8 +16,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::query::QueryResponse;
 
@@ -168,6 +167,14 @@ impl Shard {
     }
 }
 
+/// Locks a shard, reading through poison. A guard lives for one `Shard`
+/// call, so poison means a `Shard` method itself panicked; the cache only
+/// shortcuts answers the engine can recompute, so queries keep being
+/// served rather than all failing on that shard.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The sharded cache. Hit/miss totals are exported through `actor-obs`
 /// (`serve.cache.hit` / `serve.cache.miss`) and mirrored in
 /// [`QueryCache::hits`] / [`QueryCache::misses`] for per-engine stats.
@@ -194,16 +201,16 @@ impl QueryCache {
         }
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
+    fn shard_of(&self, key: &CacheKey) -> MutexGuard<'_, Shard> {
         // High bits: DefaultHasher mixes well, and the map inside the
         // shard re-hashes the full key anyway.
         let h = key.hash64();
-        &self.shards[(h >> 32) as usize % self.shards.len()]
+        lock(&self.shards[(h >> 32) as usize % self.shards.len()])
     }
 
     /// Looks up a cached answer, counting the hit or miss.
     pub fn get(&self, key: &CacheKey) -> Option<QueryResponse> {
-        let got = self.shard_of(key).lock().get(key);
+        let got = self.shard_of(key).get(key);
         if got.is_some() {
             self.hit_counter.incr();
             self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -216,14 +223,14 @@ impl QueryCache {
 
     /// Stores an answer (refreshing LRU position if the key exists).
     pub fn insert(&self, key: CacheKey, value: QueryResponse) {
-        self.shard_of(&key).lock().insert(key, value);
+        self.shard_of(&key).insert(key, value);
     }
 
     /// Drops every entry (used at publish time; epoch keying already
     /// prevents stale hits — clearing just returns the memory early).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().clear();
+            lock(shard).clear();
         }
     }
 

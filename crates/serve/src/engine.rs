@@ -1,10 +1,10 @@
 //! The query engine: planner + snapshot cell + cache, behind one handle.
 //!
 //! A [`QueryEngine`] is cheap to share (`Arc` it across however many
-//! worker threads the server runs) and wholly lock-free on the query hot
-//! path: snapshot access is an epoch-checked thread-local read
-//! ([`crate::swap::SnapshotCell`]), search scratch is thread-local, and
-//! the cache touches one shard mutex for a few nanoseconds.
+//! worker threads the server runs). A query takes two brief locks: the
+//! snapshot cell's, to clone the current `Arc`
+//! ([`crate::swap::SnapshotCell`]), and one cache shard's. Search scratch
+//! is thread-local, and no lock is held while a query searches.
 //!
 //! Publishing a new model generation — from online streaming updates, a
 //! restored checkpoint, or a fresh training run — is [`QueryEngine::publish`];

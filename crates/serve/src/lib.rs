@@ -18,9 +18,9 @@
 //!   from the previous snapshot plus a dirty-row delta
 //!   ([`Snapshot::apply_delta`]), re-inserting only the drifted nodes into
 //!   the HNSW graphs.
-//! * [`swap`] — [`SnapshotCell`], an epoch-based hot-swap cell (the
-//!   ArcSwap idea, hand-rolled from `Arc` + atomics): queries load the
-//!   current snapshot lock-free; publishes swap a new one in without
+//! * [`swap`] — [`SnapshotCell`], a hot-swap cell (the ArcSwap idea,
+//!   hand-rolled from a mutex around an `Arc`): queries clone the current
+//!   snapshot under a brief lock; publishes swap a new one in without
 //!   stalling in-flight readers.
 //! * [`cache`] — a sharded LRU keyed by quantized query vectors; the
 //!   snapshot epoch lives in the key, so hot-swaps invalidate for free.

@@ -1,49 +1,36 @@
-//! Epoch-based snapshot hot-swap: lock-free reads, rare-path publishes.
+//! Snapshot hot-swap: a brief lock per read, rare-path publishes.
 //!
-//! The query path must never take a lock: a publish (rebuilding an HNSW
-//! index takes milliseconds to seconds) stalling every in-flight query
-//! would defeat the point of serving. The classic answer is `ArcSwap`;
-//! under the zero-external-dependency rule this module hand-rolls the same
-//! guarantee from `Arc` + atomics:
+//! A publish (rebuilding an HNSW index takes milliseconds to seconds) must
+//! never stall in-flight queries. The classic answer is `ArcSwap`; under
+//! the zero-external-dependency rule this module keeps the same guarantee
+//! with a plain mutex around the current `Arc<Snapshot>`:
 //!
-//! * The cell holds the current `Arc<Snapshot>` behind a mutex **plus** a
-//!   monotonically increasing epoch in an `AtomicU64`.
-//! * Every reader thread keeps a thread-local `(epoch, Arc)` pair per
-//!   cell. The steady-state read is one atomic load + a thread-local
-//!   compare — no locks, no reference-count contention, nothing shared
-//!   written at all.
-//! * Only when the epoch moved does a reader touch the mutex, clone the
-//!   new `Arc` once, and cache it. Each swap therefore costs each reader
-//!   thread one brief lock acquisition, amortized over every query until
-//!   the next swap.
+//! * A read locks the slot just long enough to clone the `Arc` — one
+//!   brief lock plus one shared reference-count increment. Queries then
+//!   run against their own `Arc` with no lock held.
+//! * A publish builds its snapshot outside the lock and only swaps the
+//!   pointer inside it, so readers never wait for an index build.
+//! * The epoch also lives in an `AtomicU64`, so [`SnapshotCell::epoch`]
+//!   never locks.
+//!
+//! A per-thread `(epoch, Arc)` cache could skip the lock, but it keeps a
+//! snapshot of every cell a thread has read alive until that thread
+//! exits, long after the cell is dropped.
 //!
 //! Readers hold a full `Arc` for the duration of a query, so a snapshot is
 //! torn-free by construction: the publisher can never free or mutate what
 //! a reader is using, and the old snapshot dies when the last in-flight
-//! query (or stale thread cache) drops it.
+//! query drops it.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::snapshot::Snapshot;
 
-/// Process-wide unique ids so thread-local caches can serve many cells.
-static NEXT_CELL_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Per-thread `(cell id, epoch, snapshot)` cache. A plain Vec: a
-    /// process holds a handful of engines, so a linear scan beats hashing.
-    static READER_CACHE: RefCell<Vec<(u64, u64, Arc<Snapshot>)>> = const { RefCell::new(Vec::new()) };
-}
-
 /// A hot-swappable slot holding the currently served [`Snapshot`].
 pub struct SnapshotCell {
-    id: u64,
     /// Epoch of the snapshot in `slot`; written only while `slot`'s lock
-    /// is held, so `(epoch, slot)` pairs read under the lock are coherent.
+    /// is held.
     epoch: AtomicU64,
     slot: Mutex<Arc<Snapshot>>,
 }
@@ -52,7 +39,6 @@ impl SnapshotCell {
     /// A cell initially serving `snapshot`.
     pub fn new(snapshot: Arc<Snapshot>) -> Self {
         Self {
-            id: NEXT_CELL_ID.fetch_add(1, Ordering::Relaxed),
             epoch: AtomicU64::new(snapshot.epoch()),
             slot: Mutex::new(snapshot),
         }
@@ -63,42 +49,21 @@ impl SnapshotCell {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// The current snapshot. Lock-free in the steady state (atomic load +
-    /// thread-local hit); takes the publish mutex once per thread per
-    /// swap to refresh the cache.
+    /// The current snapshot.
     pub fn load(&self) -> Arc<Snapshot> {
-        let now = self.epoch.load(Ordering::Acquire);
-        READER_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some(entry) = cache.iter_mut().find(|(id, _, _)| *id == self.id) {
-                if entry.1 == now {
-                    return entry.2.clone();
-                }
-                // Stale: refresh under the lock. Reading the epoch while
-                // holding the lock keeps the cached pair coherent even if
-                // another publish raced in between.
-                let guard = self.slot.lock();
-                let fresh = guard.clone();
-                let epoch = self.epoch.load(Ordering::Acquire);
-                drop(guard);
-                entry.1 = epoch;
-                entry.2 = fresh.clone();
-                return fresh;
-            }
-            let guard = self.slot.lock();
-            let fresh = guard.clone();
-            let epoch = self.epoch.load(Ordering::Acquire);
-            drop(guard);
-            cache.push((self.id, epoch, fresh.clone()));
-            fresh
-        })
+        // The guarded value is a bare `Arc`, always whole, so a poisoned
+        // lock is safe to read through.
+        self.slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Publishes `snapshot` (whose epoch must exceed the current one) and
     /// makes it visible to all subsequent `load`s. In-flight readers keep
     /// the snapshot they already hold.
     pub fn store(&self, snapshot: Arc<Snapshot>) {
-        let mut guard = self.slot.lock();
+        let mut guard = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         debug_assert!(
             snapshot.epoch() > self.epoch.load(Ordering::Relaxed),
             "epochs must increase monotonically"
@@ -136,6 +101,22 @@ mod tests {
         cell.store(b.clone());
         assert!(Arc::ptr_eq(&cell.load(), &b));
         assert_eq!(cell.epoch(), 2);
+    }
+
+    #[test]
+    fn a_dropped_cell_releases_its_snapshot() {
+        let model = crate::testkit::synthetic_model(50, 8, 1);
+        let weak: Vec<_> = (0..5)
+            .map(|epoch| {
+                let snap = Arc::new(Snapshot::build(&model, &IndexParams::default(), epoch + 1));
+                let weak = Arc::downgrade(&snap);
+                let cell = SnapshotCell::new(snap);
+                drop(cell.load());
+                weak
+            })
+            .collect();
+        let alive = weak.iter().filter(|w| w.strong_count() > 0).count();
+        assert_eq!(alive, 0, "{alive} of 5 snapshots outlived their cells");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Run: `cargo run --example quickstart --release`
 
-use actor_st::eval::neighbor::temporal_query;
+use actor_st::eval::neighbor::NeighborSearcher;
 use actor_st::prelude::*;
 
 fn main() {
@@ -53,7 +53,7 @@ fn main() {
 
     // Neighbor search: what happens around 8 pm?
     println!("\ntop keywords near 20:00:");
-    let report = temporal_query(&model, 20.0 * 3600.0, 8);
+    let report = NeighborSearcher::new(&model).temporal(20.0 * 3600.0, 8);
     for (word, score) in &report.words {
         println!("  {word:<24} {score:.3}");
     }

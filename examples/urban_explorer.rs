@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --example urban_explorer --release`
 
-use actor_st::eval::neighbor::{spatial_query, temporal_query, textual_query};
+use actor_st::eval::neighbor::NeighborSearcher;
 use actor_st::prelude::*;
 
 fn main() {
@@ -18,6 +18,7 @@ fn main() {
     config.threads = 2;
     config.max_epochs = 40;
     let (model, _) = fit(&corpus, &split.train, &config).expect("fit succeeds");
+    let searcher = NeighborSearcher::new(&model);
 
     // Q1: "What are the popular activities around the beach at dusk?"
     // Combine the beach hotspot vector with the ~18:30 temporal vector.
@@ -35,7 +36,7 @@ fn main() {
     // Q2: "Where should a startup person go?" — textual query on a
     // tech keyword, report its top spatial hotspots.
     println!("\nQ2: where do the startup people gather?");
-    match textual_query(&model, "startup", 5) {
+    match searcher.textual("startup", 5) {
         Some(report) => {
             for (place, score) in &report.places {
                 println!("  ({:.4}, {:.4})  {score:.3}", place.lat, place.lon);
@@ -50,14 +51,14 @@ fn main() {
     // stadium anchor, report its top temporal hotspots.
     println!("\nQ3: when do people go to the stadium area?");
     let stadium_anchor = GeoPoint::new(33.88, -118.24);
-    let report = spatial_query(&model, stadium_anchor, 5);
+    let report = searcher.spatial(stadium_anchor, 5);
     for (time, score) in &report.times {
         println!("  {time}  {score:.3}");
     }
 
     // Q4: what characterizes late night (23:00)?
     println!("\nQ4: what happens at 23:00?");
-    let report = temporal_query(&model, 23.0 * 3600.0, 8);
+    let report = searcher.temporal(23.0 * 3600.0, 8);
     for (word, score) in &report.words {
         println!("  {word:<24} {score:.3}");
     }

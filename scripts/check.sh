@@ -23,6 +23,9 @@ echo "== parallel preprocessing: determinism suite + scaling smoke =="
 cargo test -q --test parallel_determinism
 cargo run -q -p actor-bench --release --bin preprocess_scaling -- --smoke
 
+echo "== benchmark package (its own workspace; builds against the crates' public API) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -181,3 +181,37 @@ fn full_fit_is_unchanged_by_preprocessing_threads() {
     };
     assert_eq!(centers(1), centers(8));
 }
+
+/// FNV-1a over every center and context row and the loss trace of a
+/// `threads = 1` fit, as raw bits.
+fn single_thread_fit_fingerprint() -> u64 {
+    let (corpus, train) = corpus_and_split();
+    let mut config = ActorConfig::fast();
+    config.threads = 1;
+    let (model, report) = fit(&corpus, &train, &config).unwrap();
+    let store = model.store();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for matrix in [&store.centers, &store.contexts] {
+        for i in 0..matrix.n_rows() {
+            matrix
+                .row(i)
+                .iter()
+                .for_each(|x| eat(u64::from(x.to_bits())));
+        }
+    }
+    report.loss_trace.iter().for_each(|l| eat(l.to_bits()));
+    hash
+}
+
+#[test]
+fn single_thread_fit_matches_the_golden_fingerprint() {
+    // The 1-thread SGD stream is a compatibility contract: a changed
+    // shard seed, split or merge order shows up here even when every
+    // caller of the driver changes together.
+    assert_eq!(single_thread_fit_fingerprint(), 10348590552210657944);
+}
