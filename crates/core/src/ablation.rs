@@ -1,11 +1,9 @@
 //! Ablation variants of §6.3.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ActorConfig;
 
 /// The three models compared in Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     /// ACTOR-complete.
     Complete,

@@ -1,7 +1,6 @@
 //! ACTOR hyper-parameters (§6.1.3).
 
 use embed::SgdParams;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ConfigError;
 
@@ -10,7 +9,7 @@ use crate::error::ConfigError;
 /// Defaults follow §6.1.3 (`η = 0.02`, `K = 1`, `m = 256`,
 /// `MaxEpoch = 100`) with the embedding dimension reduced from 300 to 128
 /// to fit the laptop-scale corpora (DESIGN.md §3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActorConfig {
     /// Embedding dimension `d`.
     pub dim: usize,

@@ -92,8 +92,11 @@ pub enum FitError {
     Config(ConfigError),
     /// The training split has no records.
     EmptyTrainingSplit,
-    /// A checkpoint could not be written or restored.
+    /// A checkpoint could not be written or read.
     Checkpoint(resilience::CheckpointError),
+    /// A checkpoint passed its CRC but its payload did not decode, or it
+    /// belongs to a run with another node space or embedding width.
+    Persist(PersistError),
     /// A (possibly injected) worker failure interrupted training; the
     /// cursors name the last completed segment boundary so a
     /// [`crate::fit_resume`] can pick up from the checkpoint taken there.
@@ -118,6 +121,7 @@ impl fmt::Display for FitError {
             Self::Config(e) => write!(f, "invalid config: {e}"),
             Self::EmptyTrainingSplit => write!(f, "training split is empty"),
             Self::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
+            Self::Persist(e) => write!(f, "checkpoint payload: {e}"),
             Self::Interrupted { epoch, samples } => write!(
                 f,
                 "training interrupted after epoch {epoch} ({samples} samples); resume from the latest checkpoint"
@@ -135,6 +139,7 @@ impl std::error::Error for FitError {
         match self {
             Self::Config(e) => Some(e),
             Self::Checkpoint(e) => Some(e),
+            Self::Persist(e) => Some(e),
             Self::EmptyTrainingSplit | Self::Interrupted { .. } | Self::Diverged { .. } => None,
         }
     }
@@ -152,15 +157,22 @@ impl From<resilience::CheckpointError> for FitError {
     }
 }
 
+impl From<PersistError> for FitError {
+    fn from(e: PersistError) -> Self {
+        Self::Persist(e)
+    }
+}
+
 /// A failed model save/load (see [`crate::persist`]).
 ///
 /// Load never panics: every length is bounds-checked against the payload
 /// and every count against a sane ceiling, so truncated or malicious
-/// envelopes are reported, not crashed on.
+/// files are reported, not crashed on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PersistError {
-    /// The envelope does not start with the expected magic bytes.
-    BadMagic,
+    /// The file could not be written or read, or its `ACTORCP1` envelope
+    /// is damaged (bad magic, truncated, CRC mismatch).
+    Envelope(resilience::CheckpointError),
     /// The payload ended before a required field.
     Truncated {
         /// What was being read.
@@ -194,24 +206,19 @@ pub enum PersistError {
         /// What disagreed.
         detail: String,
     },
-    /// Trailing bytes after a complete envelope.
-    TrailingBytes {
-        /// How many bytes were left over.
-        extra: usize,
-    },
 }
 
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::BadMagic => write!(f, "bad magic: not an ACTOR model envelope"),
+            Self::Envelope(e) => write!(f, "model file: {e}"),
             Self::Truncated {
                 reading,
                 need,
                 have,
             } => write!(
                 f,
-                "truncated envelope while reading {reading}: need {need} bytes, have {have}"
+                "truncated payload while reading {reading}: need {need} bytes, have {have}"
             ),
             Self::ImplausibleLength { field, claimed } => {
                 write!(f, "implausible {field}: claims {claimed}")
@@ -219,14 +226,24 @@ impl fmt::Display for PersistError {
             Self::BadString { field } => write!(f, "invalid UTF-8 in {field}"),
             Self::Store { detail } => write!(f, "embedding store section: {detail}"),
             Self::Inconsistent { detail } => write!(f, "inconsistent model parts: {detail}"),
-            Self::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after envelope")
-            }
         }
     }
 }
 
-impl std::error::Error for PersistError {}
+impl std::error::Error for PersistError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Self::Envelope(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<resilience::CheckpointError> for PersistError {
+    fn from(e: resilience::CheckpointError) -> Self {
+        Self::Envelope(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {

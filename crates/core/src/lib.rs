@@ -35,7 +35,6 @@ pub use embed::StoreDelta;
 pub use error::{ConfigError, FitError, PersistError};
 pub use model::{ModelArtifacts, TrainedModel};
 pub use online::{OnlineActor, OnlineParams};
-pub use persist::ModelMeta;
 pub use pipeline::{fit, FitReport};
 pub use publish::{fit_resume_with_sink, fit_with_sink, ModelSink, NullSink};
 pub use resilient::{fit_checkpointed, fit_resume, ResilienceOptions, ResilienceReport};

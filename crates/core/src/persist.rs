@@ -1,220 +1,177 @@
-//! Trained-model persistence.
+//! Trained-model persistence: the workspace's one persisted format.
 //!
-//! A [`TrainedModel`] mixes large dense matrices (saved as raw
-//! little-endian bytes via [`embed::Matrix::to_bytes`]) with small
-//! structured metadata (hotspot centers, vocabulary, configuration —
-//! saved as serde-serializable [`ModelMeta`]). The container format is a
-//! single buffer: a magic header, a length-prefixed JSON-agnostic
-//! metadata blob produced by the caller's serde format of choice, then
-//! the embedding-store bytes.
+//! A saved model and a training checkpoint are the same file: a CRC-sealed
+//! `ACTORCP1` envelope ([`resilience::checkpoint`]) around one payload,
 //!
-//! The crate deliberately does not pick a serde wire format (none is in
-//! the approved dependency set); [`TrainedModel::to_parts`] and
-//! [`TrainedModel::from_saved_parts`] expose the split so callers can
-//! pair [`ModelMeta`] with any format, while
-//! [`TrainedModel::save_bincode_like`] / [`TrainedModel::load_bincode_like`] provide a
-//! self-contained binary envelope using `bytes` only.
+//! | section   | contents                                                 |
+//! |-----------|----------------------------------------------------------|
+//! | artifacts | node space, spatial and temporal hotspot centers, temporal period, vocabulary, every [`ActorConfig`] field |
+//! | store     | [`EmbeddingStore::to_bytes`]: `n`, `dim`, write generation, centers, contexts |
+//!
+//! [`TrainedModel::save`] writes it atomically through
+//! [`resilience::write_sealed`]. [`TrainedModel::load`] opens any such
+//! file, including every `ckpt-*.ackpt` a [`crate::fit_checkpointed`] run
+//! leaves behind, and reads only the payload, not the envelope's cursor
+//! fields. Artifacts are immutable, so a checkpointed run encodes that
+//! section once and appends each snapshot's store to it.
+//!
+//! The CRC catches accidents, not crafted files, so the decoder still
+//! treats the payload as untrusted: every length and count is checked
+//! against the bytes actually present before any allocation or loop sized
+//! by it.
+
+use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use embed::EmbeddingStore;
 use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::{GeoPoint, Vocabulary};
-use serde::{Deserialize, Serialize};
+use resilience::{open_checkpoint, write_sealed, CheckpointError, CheckpointMeta};
 use stgraph::NodeSpace;
 
 use crate::config::ActorConfig;
 use crate::error::PersistError;
-use crate::model::TrainedModel;
+use crate::model::{ModelArtifacts, TrainedModel};
+use crate::resilient::samples_per_epoch;
 
-/// Serializable metadata of a trained model (everything except the
-/// embedding matrices).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ModelMeta {
-    /// Node layout.
-    pub space: NodeSpace,
-    /// Spatial hotspot centers.
-    pub spatial_centers: Vec<GeoPoint>,
-    /// Temporal hotspot centers (seconds within the period).
-    pub temporal_centers: Vec<f64>,
-    /// Circular period of the temporal units, in seconds.
-    pub temporal_period: f64,
-    /// The vocabulary.
-    pub vocab: Vocabulary,
-    /// Training configuration.
-    pub config: ActorConfig,
-}
-
-/// Magic prefix of the self-contained envelope.
-const MAGIC: &[u8; 8] = b"ACTORST1";
+/// Encoded size of an [`ActorConfig`]: nine 8-byte integers, four `f64`,
+/// three `f32` and four flags stored as `u32`.
+const CONFIG_LEN: usize = 9 * 8 + 4 * 8 + 3 * 4 + 4 * 4;
 
 impl TrainedModel {
-    /// Splits the model into serializable metadata plus the store bytes.
-    pub fn to_parts(&self) -> (ModelMeta, Bytes) {
-        let meta = ModelMeta {
-            space: *self.space(),
-            spatial_centers: self.spatial_hotspots().centers().to_vec(),
-            temporal_centers: self.temporal_hotspots().centers().to_vec(),
-            temporal_period: self.temporal_hotspots().period(),
-            vocab: self.vocab().clone(),
-            config: self.config().clone(),
+    /// Saves the model to `path` as a sealed `ACTORCP1` file, atomically
+    /// (see [`resilience::write_sealed`]). The envelope's cursor is that
+    /// of a finished run: `max_epochs` epochs under the config's seed.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
+        let config = self.config();
+        let cursor = CheckpointMeta {
+            epoch: config.max_epochs as u64,
+            samples: config.max_epochs as u64 * samples_per_epoch(config),
+            seed: config.seed,
+            lr_scale: 1.0,
         };
-        (meta, self.store().to_bytes())
+        let payload = payload(&encode_artifacts(&self.artifacts), &self.store);
+        Ok(write_sealed(path.as_ref(), &cursor, &payload)?)
     }
 
-    /// Rebuilds a model from [`TrainedModel::to_parts`] output.
-    ///
-    /// Hotspot assignment indices are reconstructed from the saved
-    /// centers (detection is not re-run; counts are not preserved, they
-    /// are irrelevant to inference).
-    pub fn from_saved_parts(meta: ModelMeta, store_bytes: Bytes) -> Result<Self, PersistError> {
-        let store = EmbeddingStore::from_bytes(store_bytes)
-            .map_err(|detail| PersistError::Store { detail })?;
-        if store.n_nodes() != meta.space.len() {
-            return Err(PersistError::Inconsistent {
-                detail: format!(
-                    "store has {} rows but node space expects {}",
-                    store.n_nodes(),
-                    meta.space.len()
-                ),
-            });
-        }
-        if meta.spatial_centers.is_empty() || meta.temporal_centers.is_empty() {
-            return Err(PersistError::Inconsistent {
-                detail: "saved model must have at least one hotspot per modality".into(),
-            });
-        }
-        if meta.spatial_centers.len() != meta.space.n_location as usize
-            || meta.temporal_centers.len() != meta.space.n_time as usize
-        {
-            return Err(PersistError::Inconsistent {
-                detail: "hotspot counts disagree with the node space".into(),
-            });
-        }
-        let spatial = SpatialHotspots::from_centers(
-            &meta.spatial_centers,
-            MeanShiftParams::with_bandwidth(meta.config.spatial_bandwidth),
-        );
-        let temporal = TemporalHotspots::from_centers_with_period(
-            &meta.temporal_centers,
-            meta.temporal_period,
-        );
-        Ok(TrainedModel::from_parts(
-            store,
-            meta.space,
-            spatial,
-            temporal,
-            meta.vocab,
-            meta.config,
-        ))
+    /// Loads a model from a file written by [`TrainedModel::save`] or by a
+    /// checkpointed fit. Hotspot assignment is rebuilt from the saved
+    /// centers (detection is not re-run; hotspot support counts are not
+    /// kept, inference does not need them).
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
+        let bytes = std::fs::read(path).map_err(|e| CheckpointError::Io {
+            context: "read model file".to_string(),
+            detail: e.to_string(),
+        })?;
+        Self::from_sealed(&bytes)
     }
 
-    /// Serializes the whole model into one self-contained binary buffer.
-    ///
-    /// Metadata is encoded with a minimal internal binary encoding (no
-    /// external format crate); see [`TrainedModel::load_bincode_like`].
-    pub fn save_bincode_like(&self) -> Bytes {
-        let (meta, store) = self.to_parts();
-        let meta_bytes = encode_meta(&meta);
-        let mut buf = BytesMut::with_capacity(16 + meta_bytes.len() + store.len());
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(meta_bytes.len() as u64);
-        buf.put_slice(&meta_bytes);
-        buf.put_slice(&store);
-        buf.freeze()
-    }
-
-    /// Loads a model saved by [`TrainedModel::save_bincode_like`].
-    ///
-    /// The envelope is treated as untrusted input: every length and
-    /// count is checked against the bytes actually present before any
-    /// allocation or loop sized by it, so truncated, bit-flipped, or
-    /// malicious buffers return a [`PersistError`] instead of panicking
-    /// or exhausting memory.
-    pub fn load_bincode_like(mut bytes: Bytes) -> Result<Self, PersistError> {
-        if bytes.len() < 8 || &bytes[..8] != MAGIC {
-            return Err(PersistError::BadMagic);
-        }
-        bytes.advance(8);
-        if bytes.len() < 8 {
-            return Err(PersistError::Truncated {
-                reading: "metadata length",
-                need: 8,
-                have: bytes.len(),
-            });
-        }
-        let meta_len64 = bytes.get_u64_le();
-        let meta_len = usize::try_from(meta_len64)
-            .ok()
-            .filter(|&n| n <= bytes.len())
-            .ok_or(PersistError::ImplausibleLength {
-                field: "metadata length",
-                claimed: meta_len64,
-            })?;
-        let meta_bytes = bytes.split_to(meta_len);
-        let meta = decode_meta(meta_bytes)?;
-        Self::from_saved_parts(meta, bytes)
+    /// Opens a sealed envelope and decodes its payload.
+    fn from_sealed(bytes: &[u8]) -> Result<Self, PersistError> {
+        let (_, payload) = open_checkpoint(bytes)?;
+        decode_payload(Bytes::from(payload))
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(bytes: &mut Bytes, field: &'static str) -> Result<String, PersistError> {
-    if bytes.len() < 4 {
-        return Err(PersistError::Truncated {
-            reading: field,
-            need: 4,
-            have: bytes.len(),
-        });
-    }
-    let len = bytes.get_u32_le() as usize;
-    if bytes.len() < len {
-        return Err(PersistError::Truncated {
-            reading: field,
-            need: len,
-            have: bytes.len(),
-        });
-    }
-    let raw = bytes.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| PersistError::BadString { field })
-}
-
-fn encode_meta(meta: &ModelMeta) -> Bytes {
+/// Encodes the artifacts section of a payload.
+pub(crate) fn encode_artifacts(artifacts: &ModelArtifacts) -> Bytes {
     let mut buf = BytesMut::new();
-    buf.put_u32_le(meta.space.n_time);
-    buf.put_u32_le(meta.space.n_location);
-    buf.put_u32_le(meta.space.n_word);
-    buf.put_u32_le(meta.space.n_user);
-
-    buf.put_u64_le(meta.spatial_centers.len() as u64);
-    for c in &meta.spatial_centers {
+    let space = artifacts.space();
+    for n in [space.n_time, space.n_location, space.n_word, space.n_user] {
+        buf.put_u32_le(n);
+    }
+    let spatial = artifacts.spatial_hotspots().centers();
+    buf.put_u64_le(spatial.len() as u64);
+    for c in spatial {
         buf.put_f64_le(c.lat);
         buf.put_f64_le(c.lon);
     }
-    buf.put_u64_le(meta.temporal_centers.len() as u64);
-    for &t in &meta.temporal_centers {
+    let temporal = artifacts.temporal_hotspots();
+    buf.put_u64_le(temporal.centers().len() as u64);
+    for &t in temporal.centers() {
         buf.put_f64_le(t);
     }
-    buf.put_f64_le(meta.temporal_period);
+    buf.put_f64_le(temporal.period());
 
-    buf.put_u64_le(meta.vocab.len() as u64);
-    for (_, word, count) in meta.vocab.iter() {
-        put_str(&mut buf, word);
+    buf.put_u64_le(artifacts.vocab().len() as u64);
+    for (_, word, count) in artifacts.vocab().iter() {
+        buf.put_u32_le(word.len() as u32);
+        buf.put_slice(word.as_bytes());
         buf.put_u64_le(count);
     }
+    put_config(&mut buf, artifacts.config());
+    buf.freeze()
+}
 
-    // Config: the fields inference needs.
-    let c = &meta.config;
+/// One payload: an [`encode_artifacts`] section followed by `store`.
+pub(crate) fn payload(artifacts: &[u8], store: &EmbeddingStore) -> Bytes {
+    let mut buf = BytesMut::with_capacity(artifacts.len() + store.byte_len());
+    buf.put_slice(artifacts);
+    store.append_bytes(&mut buf);
+    buf.freeze()
+}
+
+/// Writes every config field in declaration order. A new field fails to
+/// compile in [`get_config`]'s struct literal (it has no `..`) until it is
+/// read, and fails `every_config_field_survives_the_envelope` until it is
+/// written here.
+fn put_config(buf: &mut BytesMut, c: &ActorConfig) {
     buf.put_u64_le(c.dim as u64);
     buf.put_f32_le(c.learning_rate);
     buf.put_u64_le(c.negatives as u64);
+    buf.put_u64_le(c.batch_size as u64);
+    buf.put_u64_le(c.max_epochs as u64);
+    buf.put_u64_le(c.batches_per_type as u64);
+    buf.put_u64_le(c.threads as u64);
     buf.put_f64_le(c.spatial_bandwidth);
     buf.put_f64_le(c.temporal_bandwidth);
+    buf.put_f64_le(c.temporal_period);
+    buf.put_u64_le(c.min_hotspot_support as u64);
+    buf.put_u64_le(c.pretrain_samples);
+    buf.put_u32_le(c.use_inter.into());
+    buf.put_u32_le(c.use_intra_bag.into());
+    buf.put_u32_le(c.include_mentioned_users.into());
+    buf.put_f32_le(c.init_scale);
+    buf.put_f64_le(c.negative_power);
+    buf.put_u32_le(c.anneal.into());
     buf.put_f32_le(c.grad_clip);
     buf.put_u64_le(c.seed);
-    buf.freeze()
+}
+
+/// Reads [`put_config`] output. Struct-literal fields are evaluated in
+/// the order written, which is the wire order.
+fn get_config(bytes: &mut Bytes) -> Result<ActorConfig, PersistError> {
+    need(bytes, "config", CONFIG_LEN)?;
+    Ok(ActorConfig {
+        dim: bytes.get_u64_le() as usize,
+        learning_rate: bytes.get_f32_le(),
+        negatives: bytes.get_u64_le() as usize,
+        batch_size: bytes.get_u64_le() as usize,
+        max_epochs: bytes.get_u64_le() as usize,
+        batches_per_type: bytes.get_u64_le() as usize,
+        threads: bytes.get_u64_le() as usize,
+        spatial_bandwidth: bytes.get_f64_le(),
+        temporal_bandwidth: bytes.get_f64_le(),
+        temporal_period: bytes.get_f64_le(),
+        min_hotspot_support: bytes.get_u64_le() as usize,
+        pretrain_samples: bytes.get_u64_le(),
+        use_inter: bytes.get_u32_le() != 0,
+        use_intra_bag: bytes.get_u32_le() != 0,
+        include_mentioned_users: bytes.get_u32_le() != 0,
+        init_scale: bytes.get_f32_le(),
+        negative_power: bytes.get_f64_le(),
+        anneal: bytes.get_u32_le() != 0,
+        grad_clip: bytes.get_f32_le(),
+        seed: bytes.get_u64_le(),
+    })
+}
+
+fn get_str(bytes: &mut Bytes, field: &'static str) -> Result<String, PersistError> {
+    need(bytes, field, 4)?;
+    let len = bytes.get_u32_le() as usize;
+    need(bytes, field, len)?;
+    let raw = bytes.split_to(len);
+    String::from_utf8(raw.to_vec()).map_err(|_| PersistError::BadString { field })
 }
 
 /// Bounds-checks `n` bytes remaining before a fixed-width read.
@@ -250,7 +207,8 @@ fn get_count(
     Ok(count)
 }
 
-fn decode_meta(mut bytes: Bytes) -> Result<ModelMeta, PersistError> {
+/// Decodes one payload (artifacts section, then store) into a model.
+pub(crate) fn decode_payload(mut bytes: Bytes) -> Result<TrainedModel, PersistError> {
     need(&bytes, "node space", 16)?;
     let space = NodeSpace {
         n_time: bytes.get_u32_le(),
@@ -259,11 +217,11 @@ fn decode_meta(mut bytes: Bytes) -> Result<ModelMeta, PersistError> {
         n_user: bytes.get_u32_le(),
     };
     let n_spatial = get_count(&mut bytes, "spatial center count", 16)?;
-    let spatial_centers = (0..n_spatial)
+    let spatial_centers: Vec<GeoPoint> = (0..n_spatial)
         .map(|_| GeoPoint::new(bytes.get_f64_le(), bytes.get_f64_le()))
         .collect();
     let n_temporal = get_count(&mut bytes, "temporal center count", 8)?;
-    let temporal_centers = (0..n_temporal).map(|_| bytes.get_f64_le()).collect();
+    let temporal_centers: Vec<f64> = (0..n_temporal).map(|_| bytes.get_f64_le()).collect();
     need(&bytes, "temporal period", 8)?;
     let temporal_period = bytes.get_f64_le();
 
@@ -275,39 +233,69 @@ fn decode_meta(mut bytes: Bytes) -> Result<ModelMeta, PersistError> {
         let word = get_str(&mut bytes, "vocabulary word")?;
         need(&bytes, "vocabulary word count", 8)?;
         let count = bytes.get_u64_le();
-        let id = vocab
-            .intern(&word)
-            .ok_or(PersistError::Inconsistent {
-                detail: format!("saved vocabulary contains invalid word {word:?}"),
-            })?;
+        let id = vocab.intern(&word).ok_or(PersistError::Inconsistent {
+            detail: format!("saved vocabulary contains invalid word {word:?}"),
+        })?;
         // intern set count to 1; restore the rest in O(1) — the count is
         // attacker-controlled, so no count-sized loops.
         vocab.bump_by(id, count.saturating_sub(1));
     }
+    let config = get_config(&mut bytes)?;
 
-    need(&bytes, "config", 8 + 4 + 8 + 8 + 8 + 4 + 8)?;
-    let config = ActorConfig {
-        dim: bytes.get_u64_le() as usize,
-        learning_rate: bytes.get_f32_le(),
-        negatives: bytes.get_u64_le() as usize,
-        spatial_bandwidth: bytes.get_f64_le(),
-        temporal_bandwidth: bytes.get_f64_le(),
-        grad_clip: bytes.get_f32_le(),
-        seed: bytes.get_u64_le(),
-        ..ActorConfig::default()
-    };
-    if !bytes.is_empty() {
-        return Err(PersistError::TrailingBytes { extra: bytes.len() });
+    let store =
+        EmbeddingStore::from_bytes(bytes).map_err(|detail| PersistError::Store { detail })?;
+    if store.n_nodes() != space.len() {
+        return Err(PersistError::Inconsistent {
+            detail: format!(
+                "store has {} rows but node space expects {}",
+                store.n_nodes(),
+                space.len()
+            ),
+        });
     }
+    if spatial_centers.is_empty() || temporal_centers.is_empty() {
+        return Err(PersistError::Inconsistent {
+            detail: "saved model must have at least one hotspot per modality".into(),
+        });
+    }
+    if spatial_centers.len() != space.n_location as usize
+        || temporal_centers.len() != space.n_time as usize
+    {
+        return Err(PersistError::Inconsistent {
+            detail: "hotspot counts disagree with the node space".into(),
+        });
+    }
+    let spatial = SpatialHotspots::from_centers(
+        &spatial_centers,
+        MeanShiftParams::with_bandwidth(config.spatial_bandwidth),
+    );
+    let temporal = TemporalHotspots::from_centers_with_period(&temporal_centers, temporal_period);
+    Ok(TrainedModel::from_parts(
+        store, space, spatial, temporal, vocab, config,
+    ))
+}
 
-    Ok(ModelMeta {
-        space,
-        spatial_centers,
-        temporal_centers,
-        temporal_period,
-        vocab,
-        config,
-    })
+/// Decodes a checkpoint payload and returns its store, rejecting one
+/// whose node space or embedding width differs from the run `artifacts`
+/// describe: that is another run's state. Resume and divergence restore
+/// both go through here.
+pub(crate) fn store_for_run(
+    payload: Vec<u8>,
+    artifacts: &ModelArtifacts,
+) -> Result<EmbeddingStore, PersistError> {
+    let saved = decode_payload(Bytes::from(payload))?;
+    if saved.space() != artifacts.space() || saved.store.dim() != artifacts.config().dim {
+        return Err(PersistError::Inconsistent {
+            detail: format!(
+                "checkpoint holds {} nodes x {} dims, this run has {} x {}",
+                saved.space().len(),
+                saved.store.dim(),
+                artifacts.space().len(),
+                artifacts.config().dim
+            ),
+        });
+    }
+    Ok(saved.store)
 }
 
 #[cfg(test)]
@@ -316,6 +304,9 @@ mod tests {
     use crate::pipeline::fit;
     use mobility::synth::{generate, DatasetPreset};
     use mobility::{CorpusSplit, SplitSpec};
+    use resilience::seal_checkpoint;
+    use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn model() -> TrainedModel {
         let (corpus, _) = generate(DatasetPreset::Foursquare.small_config(50)).unwrap();
@@ -323,17 +314,44 @@ mod tests {
         fit(&corpus, &split.train, &ActorConfig::fast()).unwrap().0
     }
 
+    fn payload_of(m: &TrainedModel) -> Bytes {
+        payload(&encode_artifacts(m.artifacts()), m.store())
+    }
+
+    /// Seals `payload` the way any writer would; the cursor is irrelevant
+    /// to loading.
+    fn seal(payload: &[u8]) -> Vec<u8> {
+        let cursor = CheckpointMeta {
+            epoch: 0,
+            samples: 0,
+            seed: 0,
+            lr_scale: 1.0,
+        };
+        seal_checkpoint(&cursor, payload)
+    }
+
+    fn tmp_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "actor-persist-test-{tag}-{}.ackpt",
+            std::process::id()
+        ))
+    }
+
     #[test]
     fn envelope_round_trip_preserves_inference() {
         let m = model();
-        let buf = m.save_bincode_like();
-        let loaded = TrainedModel::load_bincode_like(buf).unwrap();
+        let path = tmp_path("round-trip");
+        m.save(&path).unwrap();
+        let loaded = TrainedModel::load(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
 
         assert_eq!(loaded.space(), m.space());
         assert_eq!(loaded.vocab().len(), m.vocab().len());
+        assert_eq!(loaded.store().generation(), m.store().generation());
         // Same vectors.
-        for i in (0..m.space().len()).step_by(41) {
+        for i in 0..m.space().len() {
             assert_eq!(loaded.store().centers.row(i), m.store().centers.row(i));
+            assert_eq!(loaded.store().contexts.row(i), m.store().contexts.row(i));
         }
         // Same hotspot assignment behaviour.
         let p = mobility::GeoPoint::new(40.7, -73.95);
@@ -346,18 +364,14 @@ mod tests {
         let kw = m.vocab().get("coffee");
         if let Some(kw) = kw {
             let q = m.vector(m.word_node(kw)).to_vec();
-            assert_eq!(
-                m.nearest_words(&q, 5),
-                loaded.nearest_words(&q, 5)
-            );
+            assert_eq!(m.nearest_words(&q, 5), loaded.nearest_words(&q, 5));
         }
     }
 
     #[test]
     fn vocabulary_counts_survive() {
         let m = model();
-        let buf = m.save_bincode_like();
-        let loaded = TrainedModel::load_bincode_like(buf).unwrap();
+        let loaded = TrainedModel::from_sealed(&seal(&payload_of(&m))).unwrap();
         for (id, word, count) in m.vocab().iter() {
             let lid = loaded.vocab().get(word).expect("word survives");
             assert_eq!(lid, id, "ids must be stable for node lookups");
@@ -366,53 +380,83 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_garbage_and_truncation() {
+    fn load_rejects_garbage_and_missing_files() {
         let m = model();
-        let buf = m.save_bincode_like();
-        assert!(TrainedModel::load_bincode_like(Bytes::from_static(b"nope")).is_err());
-        assert!(TrainedModel::load_bincode_like(buf.slice(0..20)).is_err());
-        let mut wrong_magic = buf.to_vec();
+        let sealed = seal(&payload_of(&m));
+        let path = tmp_path("garbage");
+        std::fs::write(&path, b"nope").unwrap();
+        assert!(matches!(
+            TrainedModel::load(&path),
+            Err(PersistError::Envelope(CheckpointError::Truncated { .. }))
+        ));
+        let mut wrong_magic = sealed.clone();
         wrong_magic[0] = b'X';
-        assert!(TrainedModel::load_bincode_like(Bytes::from(wrong_magic)).is_err());
+        std::fs::write(&path, wrong_magic).unwrap();
+        assert!(matches!(
+            TrainedModel::load(&path),
+            Err(PersistError::Envelope(CheckpointError::BadMagic))
+        ));
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(
+            TrainedModel::load(&path),
+            Err(PersistError::Envelope(CheckpointError::Io { .. }))
+        ));
     }
 
     #[test]
-    fn every_truncation_of_the_envelope_errors_without_panicking() {
+    fn every_truncation_errors_without_panicking() {
         let m = model();
-        let buf = m.save_bincode_like();
+        let payload = payload_of(&m);
+        let sealed = seal(&payload);
         // Exhaustive truncation over the structured prefix, then strided
-        // over the (large, homogeneous) matrix tail.
-        let dense_prefix = 4096.min(buf.len());
-        let cuts = (0..dense_prefix).chain((dense_prefix..buf.len()).step_by(997));
-        for cut in cuts {
-            let r = TrainedModel::load_bincode_like(buf.slice(0..cut));
-            assert!(r.is_err(), "truncation at {cut} of {} must fail", buf.len());
+        // over the (large, homogeneous) matrix tail: of the sealed file,
+        // and of the bare payload so the decoder's own bounds checks run.
+        let cuts = |len: usize| {
+            let dense_prefix = 4096.min(len);
+            (0..dense_prefix).chain((dense_prefix..len).step_by(997))
+        };
+        for cut in cuts(sealed.len()) {
+            let r = TrainedModel::from_sealed(&sealed[..cut]);
+            assert!(
+                r.is_err(),
+                "truncation at {cut} of {} must fail",
+                sealed.len()
+            );
         }
-        // The untruncated buffer still loads.
-        TrainedModel::load_bincode_like(buf).unwrap();
+        for cut in cuts(payload.len()) {
+            let r = decode_payload(payload.slice(0..cut));
+            assert!(
+                r.is_err(),
+                "payload cut at {cut} of {} must fail",
+                payload.len()
+            );
+        }
+        // The untruncated file still loads.
+        TrainedModel::from_sealed(&sealed).unwrap();
     }
 
     #[test]
     fn hostile_length_fields_are_rejected_not_allocated() {
         let m = model();
-        let base = m.save_bincode_like();
-        // Metadata length claiming more than the buffer holds.
-        let mut evil = base.to_vec();
-        evil[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert_eq!(
-            TrainedModel::load_bincode_like(Bytes::from(evil)).err(),
-            Some(PersistError::ImplausibleLength {
-                field: "metadata length",
-                claimed: u64::MAX,
-            })
-        );
+        let base = payload_of(&m).to_vec();
+        // Each case corrupts the payload and re-seals it, so the CRC
+        // passes and the decoder's bounds checks are what reject it.
+        let load = |payload: &[u8]| TrainedModel::from_sealed(&seal(payload)).err();
+
+        // An envelope payload length claiming more than the file holds.
+        let mut evil = seal(&base);
+        evil[36..44].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            TrainedModel::from_sealed(&evil).err(),
+            Some(PersistError::Envelope(CheckpointError::Truncated { .. }))
+        ));
+
         // Spatial-center count near u64::MAX: the checked multiply must
         // catch the wrap instead of allocating.
-        let mut evil = base.to_vec();
-        let spatial_count_at = 16 + 16; // magic + meta_len, then node space
-        evil[spatial_count_at..spatial_count_at + 8]
-            .copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        let r = TrainedModel::load_bincode_like(Bytes::from(evil)).err();
+        let mut evil = base.clone();
+        let spatial_count_at = 16; // after the node space
+        evil[spatial_count_at..spatial_count_at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        let r = load(&evil);
         assert!(
             matches!(
                 r,
@@ -423,22 +467,16 @@ mod tests {
             ),
             "{r:?}"
         );
+
         // Vocabulary count pointing past the payload (the classic
         // count-sized-loop DoS) is rejected up front.
-        let (meta, store) = m.to_parts();
-        let mut meta_bytes = super::encode_meta(&meta).to_vec();
+        let mut evil = base.clone();
         let vocab_count_at = 16 // node space
-            + 8 + meta.spatial_centers.len() * 16
-            + 8 + meta.temporal_centers.len() * 8
+            + 8 + m.spatial_hotspots().len() * 16
+            + 8 + m.temporal_hotspots().len() * 8
             + 8; // period
-        meta_bytes[vocab_count_at..vocab_count_at + 8]
-            .copy_from_slice(&u64::MAX.to_le_bytes());
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(meta_bytes.len() as u64);
-        buf.put_slice(&meta_bytes);
-        buf.put_slice(&store);
-        let r = TrainedModel::load_bincode_like(buf.freeze()).err();
+        evil[vocab_count_at..vocab_count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let r = load(&evil);
         assert!(
             matches!(
                 r,
@@ -449,18 +487,26 @@ mod tests {
             ),
             "{r:?}"
         );
+
+        // A store row count whose byte size wraps.
+        let mut evil = base.clone();
+        let store_at = base.len() - m.store().byte_len();
+        evil[store_at..store_at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        let r = load(&evil);
+        assert!(matches!(r, Some(PersistError::Store { .. })), "{r:?}");
     }
 
     #[test]
-    fn random_bit_flips_never_panic_the_loader() {
+    fn every_bit_flip_of_a_saved_model_is_rejected() {
         let m = model();
-        let base = m.save_bincode_like();
+        let base = seal(&payload_of(&m));
         for round in 0..64 {
-            let mut flipped = base.to_vec();
+            let mut flipped = base.clone();
             resilience::FaultPlan::new(plan_seed(round)).flip_bytes(&mut flipped, 5);
-            // Any outcome but a panic is acceptable: some flips only touch
-            // float payloads and still load.
-            let _ = TrainedModel::load_bincode_like(Bytes::from(flipped));
+            assert!(
+                TrainedModel::from_sealed(&flipped).is_err(),
+                "flip round {round} loaded"
+            );
         }
 
         fn plan_seed(round: u64) -> u64 {
@@ -469,19 +515,71 @@ mod tests {
     }
 
     #[test]
-    fn grad_clip_survives_the_envelope() {
+    fn every_config_field_survives_the_envelope() {
         let m = model();
-        let buf = m.save_bincode_like();
-        let loaded = TrainedModel::load_bincode_like(buf).unwrap();
-        assert_eq!(loaded.config().grad_clip, m.config().grad_clip);
+        // A weekly model with every field off its default and no two
+        // integers equal, so a dropped or swapped field shows.
+        let weekly = ActorConfig {
+            dim: m.store().dim(),
+            learning_rate: 0.031,
+            negatives: 3,
+            batch_size: 17,
+            max_epochs: 7,
+            batches_per_type: 5,
+            threads: 2,
+            spatial_bandwidth: 0.011,
+            temporal_bandwidth: 5400.0,
+            temporal_period: mobility::SECONDS_PER_WEEK as f64,
+            min_hotspot_support: 9,
+            pretrain_samples: 12_345,
+            use_inter: false,
+            use_intra_bag: false,
+            include_mentioned_users: false,
+            init_scale: 0.5,
+            negative_power: 1.25,
+            anneal: false,
+            grad_clip: 2.5,
+            seed: 99,
+        };
+        // Every pair of flags differs in at least one of these patterns.
+        for (use_inter, use_intra_bag, include_mentioned_users, anneal) in [
+            (false, false, false, false),
+            (true, false, true, false),
+            (true, true, false, false),
+        ] {
+            let config = ActorConfig {
+                use_inter,
+                use_intra_bag,
+                include_mentioned_users,
+                anneal,
+                ..weekly.clone()
+            };
+            let artifacts = ModelArtifacts::new(
+                *m.space(),
+                m.spatial_hotspots().clone(),
+                TemporalHotspots::from_centers_with_period(
+                    m.temporal_hotspots().centers(),
+                    config.temporal_period,
+                ),
+                m.vocab().clone(),
+                config.clone(),
+            );
+            let saved = TrainedModel::from_shared(Arc::new(artifacts), m.store().clone());
+            let loaded = TrainedModel::from_sealed(&seal(&payload_of(&saved))).unwrap();
+            assert_eq!(loaded.config(), &config);
+            assert_eq!(loaded.temporal_hotspots().period(), config.temporal_period);
+        }
     }
 
     #[test]
-    fn parts_reject_mismatched_store() {
+    fn a_store_of_the_wrong_size_is_rejected() {
         let m = model();
-        let (meta, _) = m.to_parts();
         let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(1);
         let wrong = EmbeddingStore::init(3, 4, &mut rng);
-        assert!(TrainedModel::from_saved_parts(meta, wrong.to_bytes()).is_err());
+        let r = decode_payload(payload(&encode_artifacts(m.artifacts()), &wrong)).err();
+        assert!(
+            matches!(r, Some(PersistError::Inconsistent { .. })),
+            "{r:?}"
+        );
     }
 }

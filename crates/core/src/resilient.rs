@@ -15,9 +15,11 @@
 //! per [`RetryPolicy`], failing with [`FitError::Diverged`] once the
 //! budget is exhausted. Stages 1–4 (hotspots, graphs, pre-training,
 //! init) are deterministic given `(corpus, config)` and are re-derived on
-//! resume rather than checkpointed — only the mutable embedding store,
-//! its dirty-tracking generation cursor, and the epoch cursor go to disk;
-//! the immutable [`crate::ModelArtifacts`] are rebuilt by `prepare`.
+//! resume rather than restored. A checkpoint is nevertheless a complete
+//! model file (see [`crate::persist`]): its payload is the artifacts
+//! metadata, encoded once per run, followed by the embedding store with
+//! its dirty-tracking generation cursor, so any checkpoint opens with
+//! [`TrainedModel::load`].
 
 use std::path::PathBuf;
 
@@ -31,6 +33,7 @@ use resilience::{
 use crate::config::ActorConfig;
 use crate::error::FitError;
 use crate::model::TrainedModel;
+use crate::persist;
 use crate::pipeline::{mean_trace, new_trace, prepare, train_epoch_range, FitReport};
 
 /// Where and how a resilient fit checkpoints, retries, and (in tests)
@@ -122,13 +125,6 @@ pub(crate) fn samples_per_epoch(config: &ActorConfig) -> u64 {
     7 * config.batch_size as u64 * config.batches_per_type as u64
 }
 
-fn payload_error(detail: String) -> FitError {
-    FitError::Checkpoint(CheckpointError::Io {
-        context: "decode checkpoint payload".to_string(),
-        detail,
-    })
-}
-
 /// Seals and fsyncs snapshots on a background thread so the (disk-bound)
 /// checkpoint write overlaps the next training segment instead of
 /// stalling it. Writes are serialized — submitting joins the previous
@@ -155,7 +151,10 @@ impl AsyncWriter {
         if let Some(handle) = self.pending.take() {
             handle
                 .join()
-                .map_err(|_| payload_error("checkpoint writer thread panicked".to_string()))?
+                .map_err(|_| CheckpointError::Io {
+                    context: "join checkpoint writer".to_string(),
+                    detail: "writer thread panicked".to_string(),
+                })?
                 .map_err(FitError::Checkpoint)?;
         }
         Ok(())
@@ -210,35 +209,12 @@ fn run_resilient(
     let mut epoch = 0usize;
     let mut lr_scale = 1.0f32;
 
-    // Checkpoint payloads are `[generation: u64 LE][store bytes]`: the
-    // store's dirty-tracking generation cursor rides along so a resumed
-    // run's publish sync points stay monotonic with the original run's.
-    let restore_store = |payload: Vec<u8>, current: &EmbeddingStore| -> Result<EmbeddingStore, FitError> {
-        if payload.len() < 8 {
-            return Err(payload_error("checkpoint payload truncated".to_string()));
-        }
-        let generation = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let restored = EmbeddingStore::from_bytes(bytes::Bytes::from(payload).slice(8..))
-            .map_err(payload_error)?;
-        if restored.n_nodes() != current.n_nodes() || restored.dim() != current.dim() {
-            return Err(payload_error(format!(
-                "checkpoint shape {}x{} does not match this corpus/config ({}x{})",
-                restored.n_nodes(),
-                restored.dim(),
-                current.n_nodes(),
-                current.dim()
-            )));
-        }
-        restored.set_generation(generation);
-        Ok(restored)
-    };
-
     if resume {
         if let Some((meta, payload)) = ckpts.latest_valid() {
             // A checkpoint from a different seed or a longer schedule is
             // another run's state — ignore it and start fresh.
             if meta.seed == config.seed && (meta.epoch as usize) <= config.max_epochs {
-                prep.store = restore_store(payload, &prep.store)?;
+                prep.store = persist::store_for_run(payload, &prep.artifacts)?;
                 epoch = meta.epoch as usize;
                 lr_scale = meta.lr_scale;
                 report.resumed_from = Some(meta);
@@ -248,6 +224,7 @@ fn run_resilient(
     }
 
     let mut writer = AsyncWriter::new(ckpts.clone());
+    let artifacts = persist::encode_artifacts(&prep.artifacts);
     let write_checkpoint =
         |writer: &mut AsyncWriter, epoch: usize, lr_scale: f32, store: &EmbeddingStore| {
             let meta = CheckpointMeta {
@@ -256,11 +233,7 @@ fn run_resilient(
                 seed: config.seed,
                 lr_scale,
             };
-            let body = store.to_bytes();
-            let mut payload = bytes::BytesMut::with_capacity(8 + body.len());
-            bytes::BufMut::put_u64_le(&mut payload, store.generation());
-            bytes::BufMut::put_slice(&mut payload, &body);
-            writer.submit(meta, payload.freeze())
+            writer.submit(meta, persist::payload(&artifacts, store))
         };
 
     // Seed checkpoint: divergence recovery and post-crash resume have a
@@ -323,11 +296,12 @@ fn run_resilient(
                 // thread; land it before reading the directory.
                 writer.join()?;
                 let Some((meta, payload)) = ckpts.latest_valid() else {
-                    return Err(payload_error(
-                        "no intact checkpoint to restore after divergence".to_string(),
-                    ));
+                    return Err(FitError::Checkpoint(CheckpointError::Io {
+                        context: "restore after divergence".to_string(),
+                        detail: "no intact checkpoint".to_string(),
+                    }));
                 };
-                prep.store = restore_store(payload, &prep.store)?;
+                prep.store = persist::store_for_run(payload, &prep.artifacts)?;
                 epoch = meta.epoch as usize;
                 report.restores += 1;
                 report.retries += 1;
@@ -358,6 +332,7 @@ fn run_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PersistError;
     use mobility::synth::{generate, DatasetPreset};
     use mobility::{CorpusSplit, SplitSpec};
 
@@ -495,6 +470,46 @@ mod tests {
         other.seed = config.seed + 1;
         let (_, _, res) = fit_resume(&corpus, &train, &other, &opts).unwrap();
         assert!(res.resumed_from.is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_undecodable_checkpoint_is_a_persist_error() {
+        let (corpus, train, mut config) = small_setup(39);
+        config.max_epochs = 2;
+        let dir = tmp_dir("undecodable");
+        let opts = ResilienceOptions::new(&dir);
+        // Intact envelope (the CRC passes), payload that is not a model.
+        let meta = CheckpointMeta {
+            epoch: 1,
+            samples: samples_per_epoch(&config),
+            seed: config.seed,
+            lr_scale: 1.0,
+        };
+        CheckpointStore::new(&dir, opts.policy.keep)
+            .write(&meta, b"not a model")
+            .unwrap();
+        let err = fit_resume(&corpus, &train, &config, &opts).err();
+        assert!(
+            matches!(err, Some(FitError::Persist(PersistError::Truncated { .. }))),
+            "{err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_of_another_width() {
+        let (corpus, train, mut config) = small_setup(40);
+        config.max_epochs = 2;
+        let dir = tmp_dir("other-width");
+        let opts = ResilienceOptions::new(&dir);
+        fit_checkpointed(&corpus, &train, &config, &opts).unwrap();
+        config.dim /= 2;
+        let err = fit_resume(&corpus, &train, &config, &opts).err();
+        assert!(
+            matches!(err, Some(FitError::Persist(PersistError::Inconsistent { .. }))),
+            "{err:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

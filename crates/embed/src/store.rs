@@ -13,6 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::Rng;
 
+/// Bytes before the matrix data in [`EmbeddingStore::to_bytes`] output.
+const STORE_HEADER_LEN: usize = 24;
+
 /// A dense row-major `n × dim` f32 matrix supporting racy shared writes.
 ///
 /// # Hogwild safety contract
@@ -32,10 +35,10 @@ use rand::Rng;
 /// noise next to the row update itself). [`EmbeddingStore::drain_dirty`]
 /// closes the open generation and collects every row stamped after a given
 /// sync point, which is what lets publishers ship only the rows a
-/// streaming step actually changed. Stamps are bookkeeping, not data: they
-/// are not serialized, and a deserialized matrix starts with a fresh
-/// tracker (consumers must treat a store they have never synced with as
-/// fully dirty).
+/// streaming step actually changed. Stamps are bookkeeping, not data: a
+/// serialized store keeps its generation but not its stamps, so a
+/// deserialized one starts with a clean tracker (consumers must treat a
+/// store they have never synced with as fully dirty).
 #[derive(Debug)]
 pub struct Matrix {
     n: usize,
@@ -152,11 +155,6 @@ impl Matrix {
         self.generation.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Forces the generation counter (checkpoint restore continuity).
-    pub(crate) fn set_generation(&self, generation: u64) {
-        self.generation.store(generation.max(1), Ordering::Relaxed);
-    }
-
     /// Rows stamped strictly after `since` — i.e. touched in any
     /// generation a sync at `since` has not seen. Inclusion is
     /// conservative under concurrent writers: a row racing with the scan
@@ -168,21 +166,16 @@ impl Matrix {
             .collect()
     }
 
-    /// Serialized size of this matrix in bytes.
-    pub(crate) fn byte_len(&self) -> usize {
-        16 + self.n * self.dim * 4
-    }
-
-    /// Appends the compact LE byte layout (`n`, `dim`, payload) to `buf`.
-    /// Checkpointing serializes multi-megabyte stores on the training
-    /// critical path, so the little-endian (i.e. every supported) target
-    /// takes a single bulk copy instead of a per-element conversion.
-    pub(crate) fn append_bytes(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.n as u64);
-        buf.put_u64_le(self.dim as u64);
+    /// Appends the row-major payload as LE f32. Checkpointing serializes
+    /// multi-megabyte stores on the training critical path, so the
+    /// little-endian (i.e. every supported) target takes a single bulk
+    /// copy instead of a per-element conversion.
+    fn append_data(&self, buf: &mut BytesMut) {
+        // SAFETY: the buffer is never resized, and racing Hogwild writes
+        // only change f32 values (see the contract above).
         let data = unsafe { &*self.data.get() };
         if cfg!(target_endian = "little") {
-            // Safety: f32 has no invalid bit patterns and a native-LE
+            // SAFETY: f32 has no invalid bit patterns and a native-LE
             // [f32] has exactly the `to_le_bytes` byte layout.
             let raw = unsafe {
                 std::slice::from_raw_parts(data.as_ptr() as *const u8, data.len() * 4)
@@ -195,38 +188,22 @@ impl Matrix {
         }
     }
 
-    /// Serializes to a compact LE byte layout: `n`, `dim`, then payload.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.byte_len());
-        self.append_bytes(&mut buf);
-        buf.freeze()
-    }
-
-    /// Deserializes from [`Matrix::to_bytes`] output.
-    pub fn from_bytes(mut bytes: Bytes) -> Result<Self, String> {
-        if bytes.len() < 16 {
-            return Err("matrix header truncated".into());
-        }
-        let n = bytes.get_u64_le() as usize;
-        let dim = bytes.get_u64_le() as usize;
-        let need = n
-            .checked_mul(dim)
-            .and_then(|e| e.checked_mul(4))
-            .ok_or("matrix size overflow")?;
-        if bytes.len() != need {
-            return Err(format!("matrix payload {} != expected {need}", bytes.len()));
-        }
-        let mut data = Vec::with_capacity(n * dim);
-        for _ in 0..n * dim {
-            data.push(bytes.get_f32_le());
-        }
-        Ok(Self {
+    /// Rebuilds an `n × dim` matrix from [`Matrix::append_data`] bytes
+    /// (`raw.len()` must be `n·dim·4`) with its write generation at
+    /// `generation` and a fresh, all-clean stamp tracker.
+    fn from_data(n: usize, dim: usize, raw: &[u8], generation: u64) -> Self {
+        debug_assert_eq!(raw.len(), n * dim * 4);
+        let data = raw
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+            .collect();
+        Self {
             n,
             dim,
             data: UnsafeCell::new(data),
-            generation: AtomicU64::new(1),
+            generation: AtomicU64::new(generation.max(1)),
             stamps: fresh_stamps(n),
-        })
+        }
     }
 }
 
@@ -318,14 +295,6 @@ impl EmbeddingStore {
         self.centers.generation()
     }
 
-    /// Forces the generation counter (checkpoint restore continuity).
-    /// Stamps are untouched, so a restored store reports no dirty rows
-    /// until it is written to again — resumed runs full-publish first.
-    pub fn set_generation(&self, generation: u64) {
-        self.centers.set_generation(generation);
-        self.contexts.set_generation(generation);
-    }
-
     /// Closes the open generation without scanning for dirty rows and
     /// returns it — the sync point to pass to a later [`drain_dirty`]
     /// call. Use this when the consumer is about to read the *whole*
@@ -357,32 +326,53 @@ impl EmbeddingStore {
         }
     }
 
-    /// Serializes both matrices.
+    /// Serialized size in bytes (see [`EmbeddingStore::append_bytes`]).
+    pub fn byte_len(&self) -> usize {
+        STORE_HEADER_LEN + 2 * self.n_nodes() * self.dim() * 4
+    }
+
+    /// Appends the store layout to `buf`: `n`, `dim` and the open write
+    /// generation (LE u64 each), then the centers and the contexts as
+    /// row-major LE f32. Dirty-row stamps are bookkeeping and are not
+    /// written.
+    pub fn append_bytes(&self, buf: &mut BytesMut) {
+        buf.put_u64_le(self.n_nodes() as u64);
+        buf.put_u64_le(self.dim() as u64);
+        buf.put_u64_le(self.generation());
+        self.centers.append_data(buf);
+        self.contexts.append_data(buf);
+    }
+
+    /// Serializes the store (see [`EmbeddingStore::append_bytes`]).
     pub fn to_bytes(&self) -> Bytes {
-        let c_len = self.centers.byte_len();
-        let mut buf = BytesMut::with_capacity(8 + c_len + self.contexts.byte_len());
-        buf.put_u64_le(c_len as u64);
-        self.centers.append_bytes(&mut buf);
-        self.contexts.append_bytes(&mut buf);
+        let mut buf = BytesMut::with_capacity(self.byte_len());
+        self.append_bytes(&mut buf);
         buf.freeze()
     }
 
-    /// Deserializes from [`EmbeddingStore::to_bytes`] output.
+    /// Deserializes [`EmbeddingStore::to_bytes`] output, restoring the
+    /// write generation so a resumed run's publish sync points stay
+    /// monotonic. Stamps start clean: a restored store reports no dirty
+    /// rows until it is written to again, so consumers full-publish it
+    /// first.
     pub fn from_bytes(mut bytes: Bytes) -> Result<Self, String> {
-        if bytes.len() < 8 {
+        if bytes.len() < STORE_HEADER_LEN {
             return Err("store header truncated".into());
         }
-        let c_len = bytes.get_u64_le() as usize;
-        if bytes.len() < c_len {
-            return Err("store centers truncated".into());
-        }
-        let c = bytes.split_to(c_len);
-        let centers = Matrix::from_bytes(c)?;
-        let contexts = Matrix::from_bytes(bytes)?;
-        if centers.n_rows() != contexts.n_rows() || centers.dim() != contexts.dim() {
-            return Err("center/context shape mismatch".into());
-        }
-        Ok(Self { centers, contexts })
+        let (n, dim) = (bytes.get_u64_le(), bytes.get_u64_le());
+        let generation = bytes.get_u64_le();
+        let bad = || format!("{n}x{dim} store does not fit {} payload bytes", bytes.len());
+        let n = usize::try_from(n).map_err(|_| bad())?;
+        let dim = usize::try_from(dim).map_err(|_| bad())?;
+        let matrix_len = n
+            .checked_mul(dim)
+            .and_then(|e| e.checked_mul(4))
+            .filter(|&len| len.checked_mul(2) == Some(bytes.len()))
+            .ok_or_else(bad)?;
+        Ok(Self {
+            centers: Matrix::from_data(n, dim, &bytes[..matrix_len], generation),
+            contexts: Matrix::from_data(n, dim, &bytes[matrix_len..], generation),
+        })
     }
 }
 
@@ -533,22 +523,15 @@ mod tests {
     }
 
     #[test]
-    fn matrix_bytes_round_trip() {
-        let mut m = Matrix::zeros(2, 3);
-        m.set_row(0, &[1.0, -2.0, 3.5]);
-        m.set_row(1, &[0.0, 0.25, -0.125]);
-        let b = m.to_bytes();
-        let m2 = Matrix::from_bytes(b).unwrap();
-        assert_eq!(m2.row(0), m.row(0));
-        assert_eq!(m2.row(1), m.row(1));
-    }
-
-    #[test]
-    fn matrix_bytes_rejects_corruption() {
-        let m = Matrix::zeros(2, 2);
-        let b = m.to_bytes();
-        assert!(Matrix::from_bytes(b.slice(0..8)).is_err());
-        assert!(Matrix::from_bytes(b.slice(0..b.len() - 4)).is_err());
+    fn store_bytes_reject_bad_shapes() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let b = EmbeddingStore::init(2, 2, &mut rng).to_bytes();
+        assert!(EmbeddingStore::from_bytes(b.slice(0..8)).is_err());
+        assert!(EmbeddingStore::from_bytes(b.slice(0..b.len() - 4)).is_err());
+        // A row count whose byte size wraps must not pass the length test.
+        let mut evil = b.to_vec();
+        evil[..8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        assert!(EmbeddingStore::from_bytes(Bytes::from(evil)).is_err());
     }
 
     #[test]
@@ -626,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracker_survives_clone_but_not_serialization() {
+    fn serialization_keeps_the_generation_but_not_the_stamps() {
         let mut rng = StdRng::seed_from_u64(13);
         let mut store = EmbeddingStore::init(4, 4, &mut rng);
         let sync = store.drain_dirty(0).generation;
@@ -635,10 +618,11 @@ mod tests {
         let cloned = store.clone();
         assert_eq!(cloned.drain_dirty(sync).centers, vec![2]);
 
-        // Serialization drops the tracker: a restored store reports no
-        // touches and must be treated as fully dirty by consumers.
+        // A restored store continues the generation count but reports no
+        // touches: consumers must treat it as fully dirty.
         let restored = EmbeddingStore::from_bytes(store.to_bytes()).unwrap();
-        assert_eq!(restored.generation(), 1);
+        assert_eq!(restored.generation(), store.generation());
+        assert!(restored.generation() > 1);
         assert!(restored.drain_dirty(0).is_empty());
     }
 

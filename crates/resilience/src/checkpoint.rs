@@ -10,7 +10,7 @@
 //! | seed          | 8     | config RNG seed (LE u64; resume sanity)    |
 //! | lr_scale      | 4     | learning-rate backoff scale (LE f32)       |
 //! | payload_len   | 8     | payload length (LE u64)                    |
-//! | payload       | n     | opaque (the embedding-store persist bytes) |
+//! | payload       | n     | opaque to this crate (see below)           |
 //! | crc32         | 4     | CRC-32 over *all* preceding bytes          |
 //!
 //! A reader rejects anything with a wrong magic, a short buffer, a length
@@ -18,11 +18,17 @@
 //! write, a truncation, or a flipped bit surfaces as a typed
 //! [`CheckpointError`], never as a panic or a silently-wrong model.
 //!
+//! This envelope is the workspace's only persisted format. `actor-core`
+//! puts the same payload in every envelope, a saved model and a training
+//! checkpoint alike: the model's artifacts metadata followed by its
+//! embedding store (see `actor_core::persist`).
+//!
 //! ## Atomicity
 //!
-//! [`CheckpointStore::write`] writes to a hidden temp file in the same
-//! directory and `rename`s it into place — on POSIX filesystems the
-//! visible file is therefore always either absent or complete. Recovery
+//! [`write_sealed`] writes to a temp file in the same directory and
+//! `rename`s it into place — on POSIX filesystems the visible file is
+//! therefore always either absent or complete. [`CheckpointStore::write`]
+//! and `TrainedModel::save` both go through it. Recovery
 //! ([`CheckpointStore::latest_valid`]) walks checkpoints newest→oldest
 //! and returns the first one that opens cleanly, which is exactly the
 //! fallback behaviour the truncation test in `tests/resilience.rs`
@@ -175,6 +181,43 @@ pub fn open_checkpoint(bytes: &[u8]) -> Result<(CheckpointMeta, Vec<u8>), Checkp
     Ok((meta, bytes[HEADER_LEN..body_end].to_vec()))
 }
 
+/// Seals `payload` and writes it to `path` atomically: a temp file
+/// (`<path>.tmp`) in the same directory receives header, payload and CRC
+/// trailer as one stream and is fsynced, then renamed over `path`, then
+/// the directory is fsynced. On POSIX filesystems `path` is therefore
+/// always absent, the old file, or the complete new one. The payload is a
+/// multi-megabyte embedding store and checkpoints are written on the
+/// training critical path, so the envelope is never built in memory.
+pub fn write_sealed(
+    path: &Path,
+    meta: &CheckpointMeta,
+    payload: &[u8],
+) -> Result<(), CheckpointError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let header = encode_header(meta, payload.len());
+    let mut crc = Crc32::new();
+    crc.update(&header);
+    crc.update(payload);
+    {
+        let mut f = fs::File::create(&tmp).map_err(|e| io_err("create temp", e))?;
+        let mut w = std::io::BufWriter::new(&mut f);
+        w.write_all(&header).map_err(|e| io_err("write temp", e))?;
+        w.write_all(payload).map_err(|e| io_err("write temp", e))?;
+        w.write_all(&crc.finish().to_le_bytes())
+            .map_err(|e| io_err("write temp", e))?;
+        w.flush().map_err(|e| io_err("write temp", e))?;
+        drop(w);
+        f.sync_all().map_err(|e| io_err("sync temp", e))?;
+    }
+    fs::rename(&tmp, path).map_err(|e| io_err("rename into place", e))?;
+    // The rename survives a crash only once the directory entry does.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    fs::File::open(dir.unwrap_or(Path::new(".")))
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("sync dir", e))
+}
+
 /// A directory of sealed checkpoints named `ckpt-<epoch>.ackpt`.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
@@ -201,32 +244,12 @@ impl CheckpointStore {
         self.dir.join(format!("ckpt-{epoch:010}.ackpt"))
     }
 
-    /// Seals and writes one checkpoint atomically (temp file + rename),
-    /// then prunes everything older than the newest `keep`. Streams
-    /// header, payload, and CRC trailer straight to the file — the
-    /// payload is a multi-megabyte embedding store, and this path runs on
-    /// the training critical path, so it never builds the concatenated
-    /// envelope in memory.
+    /// Writes one checkpoint atomically ([`write_sealed`]), then prunes
+    /// everything older than the newest `keep`.
     pub fn write(&self, meta: &CheckpointMeta, payload: &[u8]) -> Result<PathBuf, CheckpointError> {
         fs::create_dir_all(&self.dir).map_err(|e| io_err("create dir", e))?;
-        let header = encode_header(meta, payload.len());
-        let mut crc = Crc32::new();
-        crc.update(&header);
-        crc.update(payload);
-        let tmp = self.dir.join(format!(".tmp-ckpt-{:010}", meta.epoch));
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| io_err("create temp", e))?;
-            let mut w = std::io::BufWriter::new(&mut f);
-            w.write_all(&header).map_err(|e| io_err("write temp", e))?;
-            w.write_all(payload).map_err(|e| io_err("write temp", e))?;
-            w.write_all(&crc.finish().to_le_bytes())
-                .map_err(|e| io_err("write temp", e))?;
-            w.flush().map_err(|e| io_err("write temp", e))?;
-            drop(w);
-            f.sync_all().map_err(|e| io_err("sync temp", e))?;
-        }
         let dest = self.path_for(meta.epoch);
-        fs::rename(&tmp, &dest).map_err(|e| io_err("rename into place", e))?;
+        write_sealed(&dest, meta, payload)?;
         self.prune();
         Ok(dest)
     }
@@ -356,7 +379,7 @@ mod tests {
         let strays: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp"))
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(strays.is_empty());
         let (m, p) = store.latest_valid().unwrap();

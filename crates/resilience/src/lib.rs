@@ -7,9 +7,11 @@
 //!
 //! * **Checkpoints** ([`checkpoint`]) — an opaque payload sealed into a
 //!   small envelope (magic, cursor metadata, length prefix, CRC-32
-//!   trailer) and a [`CheckpointStore`] that writes envelopes atomically
-//!   (temp file + rename), retains the newest `keep`, and on recovery
-//!   walks newest→oldest skipping anything truncated or bit-flipped.
+//!   trailer), written atomically (temp file + fsync + rename) by
+//!   [`write_sealed`], and a [`CheckpointStore`] that retains the newest
+//!   `keep` and on recovery walks newest→oldest skipping anything
+//!   truncated or bit-flipped. The envelope is the workspace's one
+//!   persisted format: `actor-core` saves trained models in it too.
 //! * **Policies** ([`policy`], [`retry`]) — [`CheckpointPolicy`] decides
 //!   *when* to snapshot (every N epochs or every T samples);
 //!   [`RetryPolicy`] bounds how often and how hard a diverged training
@@ -38,7 +40,8 @@ pub mod policy;
 pub mod retry;
 
 pub use checkpoint::{
-    open_checkpoint, seal_checkpoint, CheckpointError, CheckpointMeta, CheckpointStore,
+    open_checkpoint, seal_checkpoint, write_sealed, CheckpointError, CheckpointMeta,
+    CheckpointStore,
 };
 pub use crc::crc32;
 pub use divergence::{DivergenceDetector, DivergenceReason, Verdict};

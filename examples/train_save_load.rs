@@ -14,22 +14,18 @@ fn main() {
     config.threads = 2;
     let (model, _) = fit(&corpus, &split.train, &config).expect("fit succeeds");
 
-    // Save to a single self-contained buffer (and to disk).
-    let buffer = model.save_bincode_like();
-    let path = std::env::temp_dir().join("actor_model.bin");
-    std::fs::write(&path, &buffer).expect("write model file");
+    // Save to disk (one CRC-sealed file, written atomically), then reload.
+    let path = std::env::temp_dir().join(format!("actor_model-{}.ackpt", std::process::id()));
+    model.save(&path).expect("write model file");
+    let size = std::fs::metadata(&path).expect("model file exists").len();
     println!(
         "saved {} nodes x {} dims -> {} ({} KiB)",
         model.space().len(),
         model.store().dim(),
         path.display(),
-        buffer.len() / 1024
+        size / 1024
     );
-
-    // Reload from disk.
-    let bytes = std::fs::read(&path).expect("read model file");
-    let loaded =
-        TrainedModel::load_bincode_like(bytes::Bytes::from(bytes)).expect("valid model file");
+    let loaded = TrainedModel::load(&path).expect("valid model file");
     println!("reloaded; verifying equivalence ...");
 
     // Identical predictions on held-out records.

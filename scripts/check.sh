@@ -12,6 +12,9 @@ cargo test --workspace -q
 echo "== resilience acceptance suite =="
 cargo test -q --test resilience
 
+echo "== save/load example (a saved model is a sealed ACTORCP1 file) =="
+cargo run -q --release --example train_save_load
+
 echo "== serving conformance + load smoke =="
 cargo test -q -p actor-serve --test conformance
 cargo run -q -p actor-bench --release --bin serve_load -- --smoke

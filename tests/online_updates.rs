@@ -54,8 +54,11 @@ fn online_then_save_then_load_round_trips() {
         online.observe(corpus.record(rid));
     }
     let model = online.into_model();
-    let buf = model.save_bincode_like();
-    let loaded = actor_st::core::TrainedModel::load_bincode_like(buf).unwrap();
+    let path =
+        std::env::temp_dir().join(format!("actor-online-model-{}.ackpt", std::process::id()));
+    model.save(&path).unwrap();
+    let loaded = actor_st::core::TrainedModel::load(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
     let r = corpus.record(split.test[0]);
     assert_eq!(
         model.score_location(r.timestamp, &r.keywords, r.location),

@@ -4,8 +4,9 @@
 //! injects the failure, and the test proves the pipeline recovers to the
 //! same quality as a clean run — interrupted training resumes from the
 //! last sealed checkpoint, a torn checkpoint write falls back to the
-//! previous snapshot, and corrupt TSV ingest skips exactly the lines the
-//! injection manifest says it corrupted.
+//! previous snapshot, every checkpoint loads as a model, and corrupt TSV
+//! ingest skips exactly the lines the injection manifest says it
+//! corrupted.
 
 use std::path::PathBuf;
 
@@ -120,6 +121,38 @@ fn truncated_newest_checkpoint_falls_back_to_the_previous_one() {
     assert!(model
         .score_location(r.timestamp, &r.keywords, r.location)
         .is_finite());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_newest_checkpoint_loads_as_the_returned_model() {
+    let (corpus, split, config) = setup(73);
+    let dir = tmp_dir("load-checkpoint");
+    let mut opts = ResilienceOptions::new(&dir);
+    opts.policy = CheckpointPolicy::every_epochs(2);
+    let (model, _, _) = fit_checkpointed(&corpus, &split.train, &config, &opts).unwrap();
+
+    // A checkpoint is a model file: the final one opens with the plain
+    // model loader and holds exactly the returned embeddings.
+    let (epoch, newest) = CheckpointStore::new(&dir, opts.policy.keep)
+        .list()
+        .pop()
+        .unwrap();
+    assert_eq!(epoch, config.max_epochs as u64);
+    let loaded = TrainedModel::load(&newest).unwrap();
+    assert_eq!(loaded.space(), model.space());
+    assert_eq!(loaded.store().generation(), model.store().generation());
+    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for i in 0..model.space().len() {
+        assert_eq!(
+            bits(loaded.store().centers.row(i)),
+            bits(model.store().centers.row(i))
+        );
+        assert_eq!(
+            bits(loaded.store().contexts.row(i)),
+            bits(model.store().contexts.row(i))
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
