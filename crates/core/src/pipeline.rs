@@ -407,6 +407,7 @@ pub(crate) fn train_epoch_range(
             upd.set_learning_rate(lr_scale * lr0);
         }
         let mut local = vec![(0.0f64, 0u64); TRACE_BUCKETS];
+        let mut bag = Vec::new();
         for round in 0..n {
             // Linear annealing to 10% of η over the *whole-run* budget:
             // this thread's local round sits at global fraction
@@ -447,7 +448,8 @@ pub(crate) fn train_epoch_range(
             // Intra-record meta-graph batches (line 9–11).
             if config.use_intra_bag {
                 for _ in 0..bag_draws {
-                    let (l, u) = train_record_bag(store, units, neg_tables, &mut upd, rng);
+                    let (l, u) =
+                        train_record_bag(store, units, neg_tables, &mut upd, rng, &mut bag);
                     round_loss += l;
                     round_updates += u;
                 }
@@ -515,6 +517,7 @@ fn train_edge(
 /// One intra-record update with the bag-of-words textual representation
 /// (footnote 4): sample a record, then train its T–L pair, its bag→L and
 /// bag→T alignments (plus reverse word-context updates), and W–W pairs.
+/// `bag` is the shard's scratch buffer for the record's word indices.
 /// Returns `(loss sum, update count)`.
 fn train_record_bag(
     store: &EmbeddingStore,
@@ -522,11 +525,14 @@ fn train_record_bag(
     neg_tables: &EdgeTypeMap<NodeTypeMap<NegativeTable>>,
     upd: &mut NegativeSamplingUpdate,
     rng: &mut StdRng,
+    bag: &mut Vec<usize>,
 ) -> (f64, u64) {
     let Some(rec) = units.choose(rng) else {
         return (0.0, 0);
     };
-    let bag: Vec<usize> = rec.words.iter().map(|w| w.idx()).collect();
+    bag.clear();
+    bag.extend(rec.words.iter().map(|w| w.idx()));
+    let bag = bag.as_slice();
     let mut loss = 0.0f64;
     let mut updates = 0u64;
 
@@ -547,7 +553,7 @@ fn train_record_bag(
     if !bag.is_empty() {
         // LW: bag → location, location → one word.
         if let Some(neg) = neg_of(neg_tables, EdgeType::LW, NodeType::Location) {
-            loss += upd.step_bag(store, &bag, rec.location.idx(), rng, |r| neg.sample(r).idx());
+            loss += upd.step_bag(store, bag, rec.location.idx(), rng, |r| neg.sample(r).idx());
             updates += 1;
         }
         if let Some(neg) = neg_of(neg_tables, EdgeType::LW, NodeType::Word) {
@@ -557,7 +563,7 @@ fn train_record_bag(
         }
         // WT: bag → time, time → one word.
         if let Some(neg) = neg_of(neg_tables, EdgeType::WT, NodeType::Time) {
-            loss += upd.step_bag(store, &bag, rec.time.idx(), rng, |r| neg.sample(r).idx());
+            loss += upd.step_bag(store, bag, rec.time.idx(), rng, |r| neg.sample(r).idx());
             updates += 1;
         }
         if let Some(neg) = neg_of(neg_tables, EdgeType::WT, NodeType::Word) {

@@ -151,15 +151,13 @@ impl NegativeSamplingUpdate {
         // Positive pair: label 1.
         {
             let x_ctx = unsafe { store.contexts.row_mut_racy(context) };
-            let score = crate::math::dot(x_center, x_ctx);
-            let sig = self.sigmoid.value(score);
-            let mut g = (1.0 - sig) * lr; // −∂J/∂score · η
+            let sig = self.sigmoid.lookup(crate::math::dot(x_center, x_ctx));
+            let mut g = (1.0 - sig.value) * lr; // −∂J/∂score · η
             if clip > 0.0 {
                 g = clip_logit_grad(g, center_norm, clip);
             }
-            loss -= (sig.max(1e-7) as f64).ln();
-            crate::math::axpy(g, x_ctx, &mut self.grad);
-            crate::math::axpy(g, x_center, x_ctx);
+            loss -= sig.ln_value;
+            crate::math::pair_update(g, x_center, x_ctx, &mut self.grad);
         }
 
         // Negative pairs: label 0.
@@ -169,15 +167,13 @@ impl NegativeSamplingUpdate {
                 continue; // drawing the observed context teaches nothing
             }
             let x_neg = unsafe { store.contexts.row_mut_racy(neg) };
-            let score = crate::math::dot(x_center, x_neg);
-            let sig = self.sigmoid.value(score);
-            let mut g = -sig * lr;
+            let sig = self.sigmoid.lookup(crate::math::dot(x_center, x_neg));
+            let mut g = -sig.value * lr;
             if clip > 0.0 {
                 g = clip_logit_grad(g, center_norm, clip);
             }
-            loss -= ((1.0 - sig).max(1e-7) as f64).ln();
-            crate::math::axpy(g, x_neg, &mut self.grad);
-            crate::math::axpy(g, x_center, x_neg);
+            loss -= sig.ln_complement;
+            crate::math::pair_update(g, x_center, x_neg, &mut self.grad);
         }
 
         self.clip_accumulated_grad();
@@ -240,15 +236,13 @@ impl NegativeSamplingUpdate {
 
         {
             let x_ctx = unsafe { store.contexts.row_mut_racy(context) };
-            let score = crate::math::dot(&self.bag_sum, x_ctx);
-            let sig = self.sigmoid.value(score);
-            let mut g = (1.0 - sig) * lr;
+            let sig = self.sigmoid.lookup(crate::math::dot(&self.bag_sum, x_ctx));
+            let mut g = (1.0 - sig.value) * lr;
             if clip > 0.0 {
                 g = clip_logit_grad(g, sum_norm, clip);
             }
-            loss -= (sig.max(1e-7) as f64).ln();
-            crate::math::axpy(g, x_ctx, &mut self.grad);
-            crate::math::axpy(g, &self.bag_sum, x_ctx);
+            loss -= sig.ln_value;
+            crate::math::pair_update(g, &self.bag_sum, x_ctx, &mut self.grad);
         }
         for _ in 0..self.params.negatives {
             let neg = sample_negative(rng);
@@ -256,15 +250,13 @@ impl NegativeSamplingUpdate {
                 continue;
             }
             let x_neg = unsafe { store.contexts.row_mut_racy(neg) };
-            let score = crate::math::dot(&self.bag_sum, x_neg);
-            let sig = self.sigmoid.value(score);
-            let mut g = -sig * lr;
+            let sig = self.sigmoid.lookup(crate::math::dot(&self.bag_sum, x_neg));
+            let mut g = -sig.value * lr;
             if clip > 0.0 {
                 g = clip_logit_grad(g, sum_norm, clip);
             }
-            loss -= ((1.0 - sig).max(1e-7) as f64).ln();
-            crate::math::axpy(g, x_neg, &mut self.grad);
-            crate::math::axpy(g, &self.bag_sum, x_neg);
+            loss -= sig.ln_complement;
+            crate::math::pair_update(g, &self.bag_sum, x_neg, &mut self.grad);
         }
 
         self.clip_accumulated_grad();
@@ -511,6 +503,27 @@ mod tests {
         for i in 0..6 {
             assert_eq!(a.centers.row(i), b.centers.row(i));
             assert_eq!(a.contexts.row(i), b.contexts.row(i));
+        }
+    }
+
+    #[test]
+    fn a_nan_row_reaches_the_loss() {
+        // A NaN score must not read as a finite loss: the divergence
+        // detector only sees the loss, never the rows.
+        for clip in [0.0, 5.0] {
+            let params = SgdParams {
+                learning_rate: 0.05,
+                negatives: 1,
+                grad_clip: clip,
+            };
+            let mut s = store(8);
+            s.centers.row_mut(0).fill(f32::NAN);
+            let mut upd = NegativeSamplingUpdate::new(8, params);
+            let mut rng = StdRng::seed_from_u64(12);
+            let loss = upd.step(&s, 0, 1, &mut rng, |_| 2usize);
+            assert!(!loss.is_finite(), "clip {clip}: step loss {loss}");
+            let loss = upd.step_bag(&s, &[0, 3], 4, &mut rng, |_| 5usize);
+            assert!(!loss.is_finite(), "clip {clip}: bag loss {loss}");
         }
     }
 
