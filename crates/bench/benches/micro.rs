@@ -3,13 +3,15 @@
 //! sampling, overall `O(dK|E|)`):
 //!
 //! * alias-table build and draw,
-//! * one negative-sampling SGD step (scalar in `d`),
+//! * the dot-product kernel and one negative-sampling SGD step (scalar
+//!   in `d`), unclipped and with the ACTOR fit's clipping,
 //! * one mean-shift mode seek,
 //! * activity-graph construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use actor_core::ActorConfig;
 use embed::{EmbeddingStore, NegativeSamplingUpdate, SgdParams};
 use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::synth::{generate, DatasetPreset};
@@ -37,22 +39,43 @@ fn bench_alias(c: &mut Criterion) {
     });
 }
 
-fn bench_sgd_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sgd/step");
+fn bench_dot(c: &mut Criterion) {
+    let mut group = c.benchmark_group("math/dot");
     for dim in [32usize, 128, 300] {
-        let mut rng = StdRng::seed_from_u64(3);
-        let store = EmbeddingStore::init(1000, dim, &mut rng);
-        group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, &dim| {
-            let mut upd = NegativeSamplingUpdate::new(dim, SgdParams::default());
-            let mut rng = StdRng::seed_from_u64(4);
-            b.iter(|| {
-                let center = rng.random_range(0..1000);
-                let ctx = rng.random_range(0..1000);
-                upd.step(&store, center, ctx, &mut rng, |r| r.random_range(0..1000))
-            })
+        let mut rng = StdRng::seed_from_u64(5);
+        let a: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let b: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |bch, _| {
+            bch.iter(|| embed::math::dot(black_box(&a), black_box(&b)))
         });
     }
     group.finish();
+}
+
+/// `sgd/step` runs with clipping off (`SgdParams::default()`, the
+/// baselines' setting); `sgd/step_clipped` uses the ACTOR fit's
+/// parameters, whose clipping adds two norms to every step.
+fn bench_sgd_step(c: &mut Criterion) {
+    for (name, params) in [
+        ("sgd/step", SgdParams::default()),
+        ("sgd/step_clipped", ActorConfig::default().sgd()),
+    ] {
+        let mut group = c.benchmark_group(name);
+        for dim in [32usize, 128, 300] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let store = EmbeddingStore::init(1000, dim, &mut rng);
+            group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, &dim| {
+                let mut upd = NegativeSamplingUpdate::new(dim, params);
+                let mut rng = StdRng::seed_from_u64(4);
+                b.iter(|| {
+                    let center = rng.random_range(0..1000);
+                    let ctx = rng.random_range(0..1000);
+                    upd.step(&store, center, ctx, &mut rng, |r| r.random_range(0..1000))
+                })
+            });
+        }
+        group.finish();
+    }
 }
 
 fn bench_meanshift(c: &mut Criterion) {
@@ -104,6 +127,7 @@ fn bench_graph_build(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_alias,
+    bench_dot,
     bench_sgd_step,
     bench_meanshift,
     bench_graph_build

@@ -9,6 +9,9 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== embed kernel tests at the shipped opt level =="
+cargo test -q --release -p actor-embed
+
 echo "== resilience acceptance suite =="
 cargo test -q --test resilience
 
