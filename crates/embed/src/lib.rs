@@ -9,8 +9,10 @@
 //!
 //! Crate layout:
 //!
-//! * [`math`] — f32 vector kernels (dot, cosine, axpy),
-//! * [`sigmoid`] — the precomputed σ lookup table word2vec uses,
+//! * [`math`] — f32 vector kernels (dot with a fixed 16-lane summation
+//!   order, cosine, axpy, the fused SGD pair update),
+//! * [`sigmoid`] — the precomputed σ lookup table word2vec uses, with
+//!   the loss logarithms of each slot,
 //! * [`store`] — center/context matrices with lock-free shared mutation
 //!   behind an explicit Hogwild contract,
 //! * [`sgd`] — the per-edge negative-sampling update,
