@@ -5,7 +5,8 @@
 //! * alias-table build and draw,
 //! * the dot-product kernel and one negative-sampling SGD step (scalar
 //!   in `d`), unclipped and with the ACTOR fit's clipping,
-//! * one mean-shift mode seek,
+//! * spatial and temporal hotspot detection (mean-shift), the temporal one
+//!   at 3k and at the benchmark's 30k records,
 //! * activity-graph construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -94,15 +95,30 @@ fn bench_meanshift(c: &mut Criterion) {
             )
         })
     });
-    c.bench_function("meanshift/temporal_3k", |b| {
-        b.iter(|| {
-            TemporalHotspots::detect(
-                black_box(&seconds),
-                MeanShiftParams::with_bandwidth(1800.0),
-                3,
-            )
-        })
-    });
+    // The benchmark's corpus size beside the small one: a window holds ~n·2h/day
+    // values, while a prefix-sum window mean costs O(log n).
+    let mut config = DatasetPreset::Foursquare.config(5);
+    config.n_records = 30_000;
+    let (corpus_30k, _) = generate(config).unwrap();
+    let seconds_30k: Vec<f64> = corpus_30k
+        .records()
+        .iter()
+        .map(|r| r.second_of_day())
+        .collect();
+    for (name, seconds) in [
+        ("meanshift/temporal_3k", &seconds),
+        ("meanshift/temporal_30k", &seconds_30k),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                TemporalHotspots::detect(
+                    black_box(seconds),
+                    MeanShiftParams::with_bandwidth(1800.0),
+                    3,
+                )
+            })
+        });
+    }
     c.finish();
 }
 

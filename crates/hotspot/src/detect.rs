@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::grid::Grid2D;
 use crate::meanshift::{MeanShift, MeanShiftParams};
-use crate::space::{Circular1D, Planar2D, Space};
+use crate::space::{planar_window_mean, Circular1D, Planar2D, Space};
 
 /// Identifier of a spatial hotspot (index into [`SpatialHotspots::centers`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -53,18 +53,14 @@ impl SpatialHotspots {
         assert!(!points.is_empty(), "cannot detect hotspots in empty data");
         let _span = obs::span!("hotspot.spatial.detect");
         let window = Grid2D::build(points, params.bandwidth);
-        let h = params.bandwidth;
-        let neighbors = |q: GeoPoint, out: &mut Vec<GeoPoint>| {
-            window.for_each_within(q, h, |_, p| out.push(p));
-        };
         let ms = MeanShift::new(Planar2D, params);
-        let modes = ms.run(points, neighbors);
+        let modes = ms.run(points, |q| planar_window_mean(&window, q, params.bandwidth));
         let mut centers: Vec<GeoPoint> = modes.iter().map(|m| m.point).collect();
 
         // Assign every point to its nearest mode and keep well-supported
         // modes only.
         let mode_index = Grid2D::build(&centers, params.bandwidth.max(1e-9));
-        let counts = nearest_counts(&mode_index, points, centers.len());
+        let counts = count_nearest(points, centers.len(), |p| mode_index.nearest(*p) as usize);
         let keep: Vec<usize> = (0..centers.len())
             .filter(|&i| counts[i] >= min_support)
             .collect();
@@ -75,7 +71,7 @@ impl SpatialHotspots {
         centers = keep.iter().map(|&i| centers[i]).collect();
 
         let index = Grid2D::build(&centers, params.bandwidth.max(1e-9));
-        let final_counts = nearest_counts(&index, points, centers.len());
+        let final_counts = count_nearest(points, centers.len(), |p| index.nearest(*p) as usize);
         Self {
             centers,
             counts: final_counts,
@@ -158,6 +154,9 @@ impl TemporalHotspots {
     /// Runs circular mean-shift with an explicit period — e.g.
     /// `SECONDS_PER_WEEK` to capture weekday/weekend rhythms instead of
     /// daily ones. Values are wrapped into `[0, period)`.
+    ///
+    /// Panics unless `2 · params.bandwidth < period`: a wider window would
+    /// overlap itself and count points twice.
     pub fn detect_with_period(
         seconds: &[f64],
         period: f64,
@@ -167,31 +166,18 @@ impl TemporalHotspots {
         assert!(!seconds.is_empty(), "cannot detect hotspots in empty data");
         assert!(period > 0.0, "period must be positive");
         let _span = obs::span!("hotspot.temporal.detect");
+        let h = params.bandwidth;
+        assert!(2.0 * h < period, "bandwidth must be below half the period");
         let circle = Circular1D::new(period);
         let mut sorted: Vec<f64> = seconds.iter().map(|&s| circle.wrap(s)).collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite seconds"));
-        let h = params.bandwidth;
-        let sorted_ref = &sorted;
-        let neighbors = move |q: f64, out: &mut Vec<f64>| {
-            // Wrapping window scan over the sorted values.
-            let (lo, hi) = (q - h, q + h);
-            let mut scan = |a: f64, b: f64| {
-                let start = sorted_ref.partition_point(|&v| v < a);
-                let end = sorted_ref.partition_point(|&v| v <= b);
-                out.extend_from_slice(&sorted_ref[start..end]);
-            };
-            if lo < 0.0 {
-                scan(0.0, hi);
-                scan(lo + period, period);
-            } else if hi > period {
-                scan(lo, period);
-                scan(0.0, hi - period);
-            } else {
-                scan(lo, hi);
-            }
-        };
+        // prefix[i] is the sum of sorted[..i].
+        let mut prefix = vec![0.0; sorted.len() + 1];
+        for (i, &v) in sorted.iter().enumerate() {
+            prefix[i + 1] = prefix[i] + v;
+        }
         let ms = MeanShift::new(circle, params);
-        let modes = ms.run(&sorted, neighbors);
+        let modes = ms.run(&sorted, |q| circle.window_mean(&sorted, &prefix, q, h));
         let mut centers: Vec<f64> = modes.iter().map(|m| m.point).collect();
 
         let mut keep_counts = assign_counts(&centers, &sorted, circle);
@@ -263,18 +249,10 @@ impl TemporalHotspots {
         self.centers.is_empty()
     }
 
-    /// Nearest hotspot to second-of-day `s` on the circle.
+    /// Nearest hotspot to second-of-day `s` on the circle (the lowest id of
+    /// equally near ones), by binary search over the sorted centers.
     pub fn assign(&self, s: f64) -> TemporalHotspotId {
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (i, &c) in self.centers.iter().enumerate() {
-            let d = self.circle.dist(s, c);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        TemporalHotspotId(best as u32)
+        TemporalHotspotId(nearest_center(&self.centers, self.circle, s, |k| k) as u32)
     }
 
     /// The hotspot's center second of day.
@@ -283,14 +261,18 @@ impl TemporalHotspots {
     }
 }
 
-/// Per-hotspot assignment counts of `points` against the center grid,
-/// sharded over points and merged by element-wise addition — integer
-/// counts, so the parallel total is identical to the serial loop.
-fn nearest_counts(index: &Grid2D, points: &[GeoPoint], n_centers: usize) -> Vec<usize> {
+/// Per-center counts of `points` by `nearest`, sharded over points and
+/// merged by element-wise addition — integer counts, so the parallel total
+/// is identical to the serial loop.
+fn count_nearest<T: Sync>(
+    points: &[T],
+    n_centers: usize,
+    nearest: impl Fn(&T) -> usize + Sync,
+) -> Vec<usize> {
     par::par_accumulate(
         points,
         || vec![0usize; n_centers],
-        |acc, _, p| acc[index.nearest(*p) as usize] += 1,
+        |acc, _, p| acc[nearest(p)] += 1,
         |total, acc| {
             for (t, a) in total.iter_mut().zip(acc) {
                 *t += a;
@@ -299,35 +281,62 @@ fn nearest_counts(index: &Grid2D, points: &[GeoPoint], n_centers: usize) -> Vec<
     )
 }
 
+/// Index of the center nearest `s` on `circle`, by a linear scan's rule:
+/// of equally near centers the lowest index wins. `sorted` holds the
+/// centers ascending and `index(k)` is the index of `sorted[k]`, rising
+/// with `k` among equal centers. Only the two circular neighbours of `s`
+/// can be nearest, so a binary search finds them and only they are measured.
+fn nearest_center(
+    sorted: &[f64],
+    circle: Circular1D,
+    s: f64,
+    index: impl Fn(usize) -> usize,
+) -> usize {
+    let n = sorted.len();
+    let above = sorted.partition_point(|&c| c < circle.wrap(s));
+    // The first of a run of equal centers has the lowest index.
+    let below = sorted.partition_point(|&c| c < sorted[(above + n - 1) % n]);
+    let above = above % n;
+    let (first, second) = if index(below) < index(above) {
+        (below, above)
+    } else {
+        (above, below)
+    };
+    let nearer = circle.dist(s, sorted[second]) < circle.dist(s, sorted[first]);
+    index(if nearer { second } else { first })
+}
+
+/// Per-center counts of `values` by [`nearest_center`], for centers in
+/// any order.
 fn assign_counts(centers: &[f64], values: &[f64], circle: Circular1D) -> Vec<usize> {
-    par::par_accumulate(
-        values,
-        || vec![0usize; centers.len()],
-        |acc, _, &v| {
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (i, &c) in centers.iter().enumerate() {
-                let d = circle.dist(v, c);
-                if d < best_d {
-                    best_d = d;
-                    best = i;
-                }
-            }
-            acc[best] += 1;
-        },
-        |total, acc| {
-            for (t, a) in total.iter_mut().zip(acc) {
-                *t += a;
-            }
-        },
-    )
+    // Stable sort, so equal centers stay in index order.
+    let mut order: Vec<usize> = (0..centers.len()).collect();
+    order.sort_by(|&a, &b| centers[a].partial_cmp(&centers[b]).expect("finite centers"));
+    let sorted: Vec<f64> = order.iter().map(|&i| centers[i]).collect();
+    count_nearest(values, centers.len(), |&v| {
+        nearest_center(&sorted, circle, v, |k| order[k])
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mobility::rng::{normal, wrapped_normal};
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The linear scan `nearest_center` replaced.
+    fn linear_nearest(centers: &[f64], circle: Circular1D, s: f64) -> usize {
+        let mut best = 0usize;
+        let mut best_d = f64::INFINITY;
+        for (i, &c) in centers.iter().enumerate() {
+            let d = circle.dist(s, c);
+            if d < best_d {
+                best_d = d;
+                best = i;
+            }
+        }
+        best
+    }
 
     #[test]
     fn spatial_detects_planted_clusters() {
@@ -451,5 +460,102 @@ mod tests {
     #[should_panic]
     fn temporal_rejects_empty() {
         TemporalHotspots::detect(&[], MeanShiftParams::with_bandwidth(1800.0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "below half the period")]
+    fn temporal_rejects_a_bandwidth_of_half_the_period() {
+        let secs = [100.0, 200.0, 43_300.0];
+        TemporalHotspots::detect(&secs, MeanShiftParams::with_bandwidth(43_200.0), 1);
+    }
+
+    #[test]
+    fn nearest_center_matches_the_linear_scan() {
+        let period = 86_400.0;
+        let circle = Circular1D::new(period);
+        let mut rng = StdRng::seed_from_u64(6);
+        // Mode order (unsorted) with a duplicate, and the same set sorted.
+        let mut modes: Vec<f64> = (0..12).map(|_| rng.random_range(0.0..period)).collect();
+        modes.extend([modes[3], 10.0, period - 10.0]);
+        let mut sorted = modes.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let hotspots = TemporalHotspots::from_centers_with_period(&sorted, period);
+
+        let mut queries: Vec<f64> = (0..5000).map(|_| rng.random_range(0.0..period)).collect();
+        // Exact midpoints between circular neighbours, across midnight too.
+        for w in sorted.windows(2) {
+            queries.push((w[0] + w[1]) / 2.0);
+        }
+        queries.push(circle.wrap((sorted[sorted.len() - 1] + sorted[0] + period) / 2.0));
+        queries.extend([
+            0.0,
+            1e-9,
+            5.0,
+            period - 5.0,
+            period - 1e-9,
+            period,
+            -1.0,
+            period + 1.0,
+        ]);
+        queries.extend(sorted.iter().copied());
+
+        let mut order: Vec<usize> = (0..modes.len()).collect();
+        order.sort_by(|&a, &b| modes[a].partial_cmp(&modes[b]).unwrap());
+        let by_order: Vec<f64> = order.iter().map(|&i| modes[i]).collect();
+        for &q in &queries {
+            assert_eq!(
+                hotspots.assign(q).idx(),
+                linear_nearest(&sorted, circle, q),
+                "q={q}"
+            );
+            assert_eq!(
+                nearest_center(&by_order, circle, q, |k| order[k]),
+                linear_nearest(&modes, circle, q),
+                "mode order, q={q}"
+            );
+        }
+        // Counts over data agree with the scan too.
+        let values: Vec<f64> = queries.iter().map(|&q| circle.wrap(q)).collect();
+        let mut want = vec![0usize; modes.len()];
+        for &v in &values {
+            want[linear_nearest(&modes, circle, v)] += 1;
+        }
+        assert_eq!(assign_counts(&modes, &values, circle), want);
+    }
+
+    #[test]
+    fn spatial_mean_shift_matches_a_copied_window_oracle() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let pts: Vec<GeoPoint> = (0..3000)
+            .map(|i| {
+                let c = (i % 6) as f64 * 0.015;
+                GeoPoint::new(
+                    normal(&mut rng, 34.0 + c, 0.006),
+                    normal(&mut rng, -118.2 - c, 0.006),
+                )
+            })
+            .collect();
+        let params = MeanShiftParams::with_bandwidth(0.008);
+        let h = params.bandwidth;
+        let grid = Grid2D::build(&pts, h);
+        let copied = |q: GeoPoint| {
+            let window = grid.within(q, h);
+            let (mut lat, mut lon) = (0.0, 0.0);
+            for p in &window {
+                lat += p.lat;
+                lon += p.lon;
+            }
+            let n = window.len() as f64;
+            (!window.is_empty()).then(|| GeoPoint::new(lat / n, lon / n))
+        };
+        let ms = MeanShift::new(Planar2D, params);
+        let want = ms.run(&pts, copied);
+        let got = ms.run(&pts, |q| planar_window_mean(&grid, q, h));
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.seeds, w.seeds);
+            assert_eq!(g.point.lat.to_bits(), w.point.lat.to_bits());
+            assert_eq!(g.point.lon.to_bits(), w.point.lon.to_bits());
+        }
     }
 }

@@ -86,26 +86,9 @@ impl CircularKde {
     /// Calls `f` for every value within `radius` of `x` on the circle.
     pub fn for_each_within<F: FnMut(f64)>(&self, x: f64, radius: f64, mut f: F) {
         let x = self.circle.wrap(x);
-        let period = self.circle.period;
-        // The window may wrap; scan as up to two linear ranges.
-        let lo = x - radius;
-        let hi = x + radius;
-        let mut scan = |a: f64, b: f64| {
-            let start = self.sorted.partition_point(|&v| v < a);
-            let end = self.sorted.partition_point(|&v| v <= b);
-            for &v in &self.sorted[start..end] {
-                f(v);
-            }
-        };
-        if lo < 0.0 {
-            scan(0.0, hi);
-            scan(lo + period, period);
-        } else if hi > period {
-            scan(lo, period);
-            scan(0.0, hi - period);
-        } else {
-            scan(lo, hi);
-        }
+        self.circle.window_ranges(&self.sorted, x, radius, |r, _| {
+            self.sorted[r].iter().for_each(|&v| f(v))
+        });
     }
 
     /// Density estimate at `x` on the circle.

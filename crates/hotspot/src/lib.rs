@@ -10,7 +10,8 @@
 //!
 //! * the Epanechnikov and Gaussian kernels and KDE ([`kernel`], [`kde`]),
 //! * mean-shift over pluggable metric spaces ([`meanshift`], [`space`]) —
-//!   planar 2-D for locations, circular 1-D for time of day,
+//!   planar 2-D for locations, circular 1-D for time of day (prefix-sum
+//!   window means, O(log n) per step),
 //! * a uniform grid index accelerating window queries ([`grid`]),
 //! * detectors producing [`SpatialHotspots`] and [`TemporalHotspots`] with
 //!   fast nearest-hotspot assignment for new data points (§4.3's

@@ -4,6 +4,9 @@
 //! `y ← mean(points within bandwidth of y)`; the sequence converges to a
 //! local maximum of the kernel density (a *hotspot*, Definition 5).
 //! Converged points within a merge radius are collapsed into one mode.
+//!
+//! Callers pass a `window_mean` closure that answers this mean from an
+//! index of their data ([`crate::space`]), so no iteration copies its window.
 
 use crate::space::Space;
 
@@ -95,31 +98,28 @@ impl<S: Space> MeanShift<S> {
         &self.params
     }
 
-    /// Shifts `start` to its density mode. `neighbors(q, out)` must fill
-    /// `out` with all data points within `params.bandwidth` of `q`.
-    pub fn seek_mode<F>(&self, start: S::Point, neighbors: &F) -> S::Point
+    /// Shifts `start` to its density mode. `window_mean(q)` must return
+    /// the mean of all data points within `params.bandwidth` of `q`, or
+    /// `None` if there are none.
+    pub fn seek_mode<F>(&self, start: S::Point, window_mean: &F) -> S::Point
     where
-        F: Fn(S::Point, &mut Vec<S::Point>),
+        F: Fn(S::Point) -> Option<S::Point>,
     {
-        self.seek_mode_iters(start, neighbors).0
+        self.seek_mode_iters(start, window_mean).0
     }
 
     /// [`MeanShift::seek_mode`] plus the number of shift iterations spent,
     /// so `run` can feed the convergence histogram without a second pass.
-    fn seek_mode_iters<F>(&self, start: S::Point, neighbors: &F) -> (S::Point, u64)
+    fn seek_mode_iters<F>(&self, start: S::Point, window_mean: &F) -> (S::Point, u64)
     where
-        F: Fn(S::Point, &mut Vec<S::Point>),
+        F: Fn(S::Point) -> Option<S::Point>,
     {
         let mut y = start;
-        let mut window = Vec::new();
         for iter in 0..self.params.max_iters {
-            window.clear();
-            neighbors(y, &mut window);
-            if window.is_empty() {
+            let Some(next) = window_mean(y) else {
                 // Isolated seed: it is its own mode.
                 return (y, iter as u64);
-            }
-            let next = self.space.local_mean(y, &window);
+            };
             let shift = self.space.dist(y, next);
             y = next;
             if shift < self.params.tolerance {
@@ -134,14 +134,14 @@ impl<S: Space> MeanShift<S> {
     ///
     /// The seeking pass is data-parallel over seeds ([`par::threads`]
     /// workers): each seed's trajectory depends only on the data behind
-    /// `neighbors`, never on other seeds, and every seed early-exits the
+    /// `window_mean`, never on other seeds, and every seed early-exits the
     /// moment its own shift falls below tolerance instead of marching in
     /// lockstep to `max_iters`. The merge then runs serially in seed order
     /// on the calling thread, so the returned modes are bit-identical to a
     /// single-threaded run for any thread count.
-    pub fn run<F>(&self, seeds: &[S::Point], neighbors: F) -> Vec<Mode<S::Point>>
+    pub fn run<F>(&self, seeds: &[S::Point], window_mean: F) -> Vec<Mode<S::Point>>
     where
-        F: Fn(S::Point, &mut Vec<S::Point>) + Sync,
+        F: Fn(S::Point) -> Option<S::Point> + Sync,
         S: Sync,
         S::Point: Send + Sync,
     {
@@ -153,7 +153,9 @@ impl<S: Space> MeanShift<S> {
 
         let stride = (seeds.len() / self.params.max_seeds.max(1)).max(1);
         let strided: Vec<S::Point> = seeds.iter().step_by(stride).copied().collect();
-        let converged = par::par_map(&strided, |_, &seed| self.seek_mode_iters(seed, &neighbors));
+        let converged = par::par_map(&strided, |_, &seed| {
+            self.seek_mode_iters(seed, &window_mean)
+        });
 
         let mut modes: Vec<Mode<S::Point>> = Vec::new();
         for &(point, iters) in &converged {
@@ -185,13 +187,16 @@ mod tests {
     use mobility::GeoPoint;
     use rand::{rngs::StdRng, SeedableRng};
 
-    fn planar_neighbors(data: Vec<GeoPoint>, h: f64) -> impl Fn(GeoPoint, &mut Vec<GeoPoint>) {
-        move |q, out| {
-            for p in &data {
-                if q.dist(p) <= h {
-                    out.push(*p);
-                }
+    /// Brute-force centroid of the points within `h` of the query.
+    fn planar_window_mean(data: Vec<GeoPoint>, h: f64) -> impl Fn(GeoPoint) -> Option<GeoPoint> {
+        move |q| {
+            let (mut lat, mut lon, mut n) = (0.0, 0.0, 0usize);
+            for p in data.iter().filter(|p| q.dist(p) <= h) {
+                lat += p.lat;
+                lon += p.lon;
+                n += 1;
             }
+            (n > 0).then(|| GeoPoint::new(lat / n as f64, lon / n as f64))
         }
     }
 
@@ -211,7 +216,7 @@ mod tests {
         }
         let params = MeanShiftParams::with_bandwidth(0.2);
         let ms = MeanShift::new(Planar2D, params);
-        let modes = ms.run(&data.clone(), planar_neighbors(data, 0.2));
+        let modes = ms.run(&data.clone(), planar_window_mean(data, 0.2));
         assert_eq!(modes.len(), 2, "{modes:?}");
         let origin = GeoPoint::new(0.0, 0.0);
         let one = GeoPoint::new(1.0, 1.0);
@@ -238,7 +243,7 @@ mod tests {
             ));
         }
         let ms = MeanShift::new(Planar2D, MeanShiftParams::with_bandwidth(0.15));
-        let modes = ms.run(&data.clone(), planar_neighbors(data, 0.15));
+        let modes = ms.run(&data.clone(), planar_window_mean(data, 0.15));
         assert!(modes.len() >= 2);
         assert!(modes[0].seeds > modes[1].seeds);
         assert!(modes[0].point.dist(&GeoPoint::new(0.0, 0.0)) < 0.05);
@@ -248,8 +253,8 @@ mod tests {
     fn isolated_seed_is_its_own_mode() {
         let data = vec![GeoPoint::new(5.0, 5.0)];
         let ms = MeanShift::new(Planar2D, MeanShiftParams::with_bandwidth(0.1));
-        // Neighbor fn that never finds anything within range of the seed.
-        let mode = ms.seek_mode(GeoPoint::new(0.0, 0.0), &planar_neighbors(data, 0.1));
+        // Window-mean fn that never finds anything within range of the seed.
+        let mode = ms.seek_mode(GeoPoint::new(0.0, 0.0), &planar_window_mean(data, 0.1));
         assert_eq!(mode, GeoPoint::new(0.0, 0.0));
     }
 
@@ -261,15 +266,15 @@ mod tests {
             .collect();
         let circle = Circular1D::new(24.0);
         let ms = MeanShift::new(circle, MeanShiftParams::with_bandwidth(0.5));
-        let data2 = data.clone();
-        let neighbors = move |q: f64, out: &mut Vec<f64>| {
-            for &v in &data2 {
-                if circle.dist(q, v) <= 0.5 {
-                    out.push(v);
-                }
-            }
-        };
-        let modes = ms.run(&data, neighbors);
+        let mut sorted = data.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let prefix: Vec<f64> = std::iter::once(0.0)
+            .chain(sorted.iter().scan(0.0, |sum, &v| {
+                *sum += v;
+                Some(*sum)
+            }))
+            .collect();
+        let modes = ms.run(&data, |q| circle.window_mean(&sorted, &prefix, q, 0.5));
         assert_eq!(modes.len(), 1, "{modes:?}");
         let d = circle.dist(modes[0].point, 23.9);
         assert!(d < 0.15, "mode at {} (dist {d})", modes[0].point);
@@ -283,7 +288,7 @@ mod tests {
         let mut params = MeanShiftParams::with_bandwidth(0.5);
         params.max_seeds = 10;
         let ms = MeanShift::new(Planar2D, params);
-        let modes = ms.run(&data.clone(), planar_neighbors(data, 0.5));
+        let modes = ms.run(&data.clone(), planar_window_mean(data, 0.5));
         let total: usize = modes.iter().map(|m| m.seeds).sum();
         assert_eq!(total, 10, "{modes:?}");
     }
@@ -328,7 +333,7 @@ mod tests {
         // shrink finds the modes.
         let params = MeanShiftParams::silverman(&[&lats, &lons], 0.3);
         let ms = MeanShift::new(Planar2D, params);
-        let modes = ms.run(&pts.clone(), planar_neighbors(pts, params.bandwidth));
+        let modes = ms.run(&pts.clone(), planar_window_mean(pts, params.bandwidth));
         assert_eq!(modes.len(), 3, "{modes:?}");
     }
 

@@ -9,8 +9,9 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== embed kernel tests at the shipped opt level =="
+echo "== embed kernel and hotspot oracle tests at the shipped opt level =="
 cargo test -q --release -p actor-embed
+cargo test -q --release -p actor-hotspot
 
 echo "== resilience acceptance suite =="
 cargo test -q --test resilience
