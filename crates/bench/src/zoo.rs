@@ -1,6 +1,6 @@
 //! The model zoo: trains every Table 2 method on one dataset.
 
-use actor_core::{ActorConfig, TrainedModel};
+use actor_core::ActorConfig;
 use baselines::{
     train_crossmap, train_lgta, train_line, train_metapath2vec, train_mgtm, BaselineParams,
     CrossMapVariant, LgtaParams, LineVariant, MetapathParams, MgtmParams, Substrate,
@@ -141,11 +141,6 @@ pub fn train_zoo(corpus: &Corpus, train_ids: &[RecordId], config: &ZooConfig) ->
     push("ACTOR", s, m);
 
     zoo
-}
-
-/// Trains only ACTOR (used by case studies and scalability binaries).
-pub fn train_actor(corpus: &Corpus, train_ids: &[RecordId], config: &ActorConfig) -> TrainedModel {
-    actor_core::fit(corpus, train_ids, config).expect("ACTOR fit").0
 }
 
 #[cfg(test)]

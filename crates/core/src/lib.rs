@@ -36,5 +36,5 @@ pub use error::{ConfigError, FitError, PersistError};
 pub use model::{ModelArtifacts, TrainedModel};
 pub use online::{OnlineActor, OnlineParams};
 pub use pipeline::{fit, FitReport};
-pub use publish::{fit_resume_with_sink, fit_with_sink, ModelSink, NullSink};
+pub use publish::{fit_resume_with_sink, fit_with_sink, ModelSink};
 pub use resilient::{fit_checkpointed, fit_resume, ResilienceOptions, ResilienceReport};

@@ -46,14 +46,6 @@ pub trait ModelSink: Send + Sync {
     }
 }
 
-/// A sink that drops every model; useful as a default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl ModelSink for NullSink {
-    fn publish(&self, _model: &TrainedModel) {}
-}
-
 /// Records one publish in the obs registry: `core.publish.count` counts
 /// publishes of either form, `core.publish.dirty_rows` accumulates the
 /// store rows actually shipped (all rows for a full publish, the delta's
@@ -63,9 +55,9 @@ pub(crate) fn record_publish(dirty_rows: usize) {
     obs::counter("core.publish.dirty_rows").add(dirty_rows as u64);
 }
 
-/// [`fit`](crate::pipeline::fit), then publish the finished model to
-/// `sink` before returning it — so a query engine starts answering from
-/// the new model in the same breath the training call completes.
+/// [`fit`], then publish the finished model to `sink` before returning
+/// it — so a query engine starts answering from the new model in the same
+/// breath the training call completes.
 pub fn fit_with_sink(
     corpus: &Corpus,
     train_ids: &[RecordId],
@@ -78,9 +70,9 @@ pub fn fit_with_sink(
     Ok((model, report))
 }
 
-/// [`fit_resume`](crate::resilient::fit_resume), then publish the
-/// recovered-and-finished model to `sink` — the restart path of a serving
-/// deployment: crash, resume from the newest intact checkpoint, republish.
+/// [`fit_resume`], then publish the recovered-and-finished model to
+/// `sink` — the restart path of a serving deployment: crash, resume from
+/// the newest intact checkpoint, republish.
 pub fn fit_resume_with_sink(
     corpus: &Corpus,
     train_ids: &[RecordId],

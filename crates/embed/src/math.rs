@@ -10,9 +10,9 @@ const DOT_LANES: usize = 16;
 /// Dot product over the common prefix of `a` and `b`.
 ///
 /// A single accumulator would make every add wait for the previous one;
-/// this kernel runs [`DOT_LANES`] independent chains instead, so the
-/// compiler can keep them in vector registers. The summation order is
-/// fixed by the source, not by the host:
+/// this kernel runs 16 independent chains instead, so the compiler can
+/// keep them in vector registers. The summation order is fixed by the
+/// source, not by the host:
 ///
 /// * element `i` of the leading `16·⌊n/16⌋` goes to lane `i mod 16`,
 ///   summed in index order;

@@ -326,7 +326,7 @@ impl EmbeddingStore {
         }
     }
 
-    /// Serialized size in bytes (see [`EmbeddingStore::append_bytes`]).
+    /// Encoded size in bytes (see [`EmbeddingStore::append_bytes`]).
     pub fn byte_len(&self) -> usize {
         STORE_HEADER_LEN + 2 * self.n_nodes() * self.dim() * 4
     }
@@ -343,14 +343,14 @@ impl EmbeddingStore {
         self.contexts.append_data(buf);
     }
 
-    /// Serializes the store (see [`EmbeddingStore::append_bytes`]).
+    /// Encodes the store (see [`EmbeddingStore::append_bytes`]).
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.byte_len());
         self.append_bytes(&mut buf);
         buf.freeze()
     }
 
-    /// Deserializes [`EmbeddingStore::to_bytes`] output, restoring the
+    /// Decodes [`EmbeddingStore::to_bytes`] output, restoring the
     /// write generation so a resumed run's publish sync points stay
     /// monotonic. Stamps start clean: a restored store reports no dirty
     /// rows until it is written to again, so consumers full-publish it

@@ -61,12 +61,6 @@ impl NeighborSearcher {
         }
     }
 
-    /// Wraps an engine that is already serving (shares its snapshot,
-    /// cache, and index mode).
-    pub fn from_engine(engine: QueryEngine) -> Self {
-        Self { engine }
-    }
-
     /// The engine underneath (e.g. for stats).
     pub fn engine(&self) -> &QueryEngine {
         &self.engine

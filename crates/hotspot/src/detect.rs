@@ -8,14 +8,12 @@
 //! graph.
 
 use mobility::{GeoPoint, SECONDS_PER_DAY};
-use serde::{Deserialize, Serialize};
-
 use crate::grid::Grid2D;
 use crate::meanshift::{MeanShift, MeanShiftParams};
 use crate::space::{planar_window_mean, Circular1D, Planar2D, Space};
 
 /// Identifier of a spatial hotspot (index into [`SpatialHotspots::centers`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpatialHotspotId(pub u32);
 
 impl SpatialHotspotId {
@@ -27,7 +25,7 @@ impl SpatialHotspotId {
 }
 
 /// Identifier of a temporal hotspot (index into [`TemporalHotspots::centers`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TemporalHotspotId(pub u32);
 
 impl TemporalHotspotId {

@@ -1,13 +1,11 @@
 //! Kernel functions for density estimation.
 
-use serde::{Deserialize, Serialize};
-
 /// A radially symmetric kernel `K(u)` evaluated on the normalized distance
 /// `u = ‖x − x_i‖ / h`.
 ///
 /// The paper uses the Epanechnikov kernel (§4.3, \[41\]); the Gaussian kernel
 /// is provided for the KDE ablation bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// `K(u) = ¾ (1 − u²)` for `|u| ≤ 1`, else 0. Optimal in the
     /// mean-integrated-squared-error sense; with this kernel the mean-shift

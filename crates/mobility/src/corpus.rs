@@ -1,7 +1,5 @@
 //! Corpus container and aggregate statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MobilityError;
 use crate::types::{Record, RecordId, UserId};
 use crate::vocab::Vocabulary;
@@ -12,7 +10,7 @@ use crate::vocab::Vocabulary;
 /// * every record's `id` equals its index,
 /// * every user id (author or mention) is `< num_users`,
 /// * every keyword id is `< vocab.len()`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Corpus {
     /// Human-readable corpus name (e.g. `synth-utgeo2011`).
     pub name: String,
@@ -134,7 +132,7 @@ impl Corpus {
 }
 
 /// Aggregate corpus statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorpusStats {
     /// Total number of records.
     pub records: usize,

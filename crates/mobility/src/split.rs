@@ -6,15 +6,13 @@
 
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
 use crate::corpus::Corpus;
 use crate::error::MobilityError;
 use crate::types::RecordId;
 
 /// Fractions of the corpus assigned to validation and test; the remainder
 /// is training data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitSpec {
     /// Fraction of records held out for validation.
     pub valid_fraction: f64,
@@ -36,7 +34,7 @@ impl Default for SplitSpec {
 }
 
 /// Disjoint record-id partitions of a corpus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusSplit {
     /// Training record ids.
     pub train: Vec<RecordId>,

@@ -1,10 +1,8 @@
 //! Generator configuration and dataset presets.
 
-use serde::{Deserialize, Serialize};
-
 /// Bounding box and scale parameters of the synthetic world plus all
 /// behavioural knobs of the generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthConfig {
     /// Corpus name (also used in reports).
     pub name: String,
@@ -67,7 +65,7 @@ pub struct SynthConfig {
 }
 
 /// The three dataset presets of Table 1, at laptop scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetPreset {
     /// Mirrors UTGEO2011: global-ish Twitter with user mentions
     /// (16.8 % mention rate per §1 of the paper).

@@ -1,7 +1,5 @@
 //! Core identifier and record types shared across the workspace.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of seconds in a day; used for circular time-of-day arithmetic.
 pub const SECONDS_PER_DAY: i64 = 86_400;
 
@@ -15,9 +13,7 @@ pub type Timestamp = i64;
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -70,7 +66,7 @@ id_type!(
 /// latitude/longitude behave like a planar coordinate system to within a
 /// fraction of a percent, so distances are Euclidean in degree space scaled
 /// by the cosine of a reference latitude.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees.
     pub lat: f64,
@@ -153,7 +149,7 @@ pub fn format_time_of_day(seconds: f64) -> String {
 /// intra-record meta-graph sums keyword embeddings, footnote 4 of the
 /// paper). `mentions` holds the users referenced with an `@`, the raw
 /// material of the user interaction graph (Definition 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Dense record identifier, equal to the record's index in its corpus.
     pub id: RecordId,

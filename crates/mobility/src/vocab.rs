@@ -6,8 +6,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::stopwords::is_stopword;
 use crate::types::KeywordId;
 
@@ -23,7 +21,7 @@ use crate::types::KeywordId;
 /// assert_eq!(vocab.intern("the"), None);        // stop words rejected
 /// assert_eq!(vocab.count(id), 2);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     words: Vec<String>,
     index: HashMap<String, KeywordId>,
@@ -98,7 +96,7 @@ impl Vocabulary {
 
     /// Adds `n` to the frequency count of an existing keyword in O(1).
     ///
-    /// Deserializers restoring saved counts must use this instead of
+    /// Decoders restoring saved counts must use this instead of
     /// looping over [`Vocabulary::bump`]: a count field is attacker-
     /// controlled in an untrusted envelope, and a `u64`-sized loop is a
     /// denial of service.

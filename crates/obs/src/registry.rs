@@ -65,7 +65,7 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
-/// RAII guard for one timed stage. Created by [`crate::span`] /
+/// RAII guard for one timed stage. Created by [`crate::span()`] /
 /// [`crate::span!`]; recording happens on drop (or explicitly via
 /// [`Span::finish`] when the caller wants the duration back).
 ///

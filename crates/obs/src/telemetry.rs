@@ -112,7 +112,7 @@ impl RunTelemetry {
         out
     }
 
-    /// Serializes the whole capture as one compact JSON object:
+    /// Writes the whole capture as one compact JSON object:
     ///
     /// ```json
     /// {"wall_seconds":..,"spans":[{"name":..,"count":..,"seconds":..,

@@ -1,7 +1,9 @@
 //! Integration tests for the telemetry layer: span nesting and
 //! aggregation through the public API, counter exactness under concurrent
-//! writers, and JSONL schema round-trips through a real JSON parser
-//! (the serde_json dev-dependency).
+//! writers, and JSONL schema round-trips through a strict JSON reader
+//! (`json/mod.rs`).
+
+mod json;
 
 use std::time::Duration;
 
@@ -84,7 +86,7 @@ fn run_telemetry_json_round_trips() {
         obs::histogram("it.json.iters").record(300);
     }
     let json = obs::RunTelemetry::capture().to_json();
-    let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+    let v = json::parse(&json).expect("valid JSON");
 
     let root = v.as_map().expect("top-level object");
     assert!(root.iter().any(|(k, _)| k == "wall_seconds"));
@@ -102,7 +104,7 @@ fn run_telemetry_json_round_trips() {
     let counters = v.get("counters").as_seq().expect("counters array");
     assert!(counters.iter().any(|c| {
         c.get("name").as_str() == Some("it.json.samples")
-            && matches!(c.get("value"), serde_json::Value::UInt(12345))
+            && c.get("value") == &json::Value::Num(12345.0)
     }));
 
     let histograms = v.get("histograms").as_seq().expect("histograms array");
@@ -112,9 +114,22 @@ fn run_telemetry_json_round_trips() {
         .expect("histogram present");
     for key in ["count", "sum", "mean", "p50", "p95", "p99", "max"] {
         assert!(
-            !matches!(h.get(key), serde_json::Value::Null),
+            !matches!(h.get(key), json::Value::Null),
             "histogram field {key} missing in {json}"
         );
+    }
+}
+
+#[test]
+fn special_characters_in_names_survive_the_json_round_trip() {
+    let name = "it.json.\"quoted\\path\"\nnext\u{1}";
+    obs::counter(name).add(5);
+    drop(obs::span!(name));
+    let json = obs::RunTelemetry::capture().to_json();
+    let v = json::parse(&json).expect("valid JSON");
+    for key in ["counters", "spans"] {
+        let mut names = v.get(key).as_seq().unwrap().iter().map(|n| n.get("name").as_str());
+        assert!(names.any(|n| n == Some(name)), "{key}: no {name:?} in {json}");
     }
 }
 
@@ -137,15 +152,14 @@ fn reporter_writes_parseable_jsonl() {
     let lines: Vec<&str> = contents.lines().collect();
     assert!(lines.len() >= 2, "expected several ticks, got {lines:?}");
     for line in &lines {
-        let v: serde_json::Value =
-            serde_json::from_str(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
+        let v = json::parse(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
         assert_eq!(v.get("type").as_str(), Some("snapshot"));
-        assert!(!matches!(v.get("elapsed_s"), serde_json::Value::Null));
+        assert!(!matches!(v.get("elapsed_s"), json::Value::Null));
         assert!(v.get("counters").as_seq().is_some());
         assert!(v.get("active").as_seq().is_some());
     }
     // The counter we bumped must appear in the final snapshot.
-    let last: serde_json::Value = serde_json::from_str(lines.last().unwrap()).unwrap();
+    let last = json::parse(lines.last().unwrap()).unwrap();
     assert!(last
         .get("counters")
         .as_seq()

@@ -54,8 +54,8 @@ const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// the environment; set through [`override_threads`] only.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Serializes override holders so concurrently running tests/benches
-/// cannot observe each other's thread counts.
+/// Admits one override holder at a time, so concurrently running
+/// tests/benches cannot observe each other's thread counts.
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Worker threads for parallel preprocessing: the [`override_threads`]

@@ -4,12 +4,10 @@
 //! in a canonical list plus a symmetric CSR view for neighbor scans
 //! (meta-path walks, degree computation, initialization).
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::NodeId;
 
 /// An undirected weighted edge between global node ids.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// First endpoint (canonical order: the edge type's first node type).
     pub a: NodeId,
@@ -24,7 +22,7 @@ pub struct Edge {
 /// Rows are indexed by global node id over the *whole* node space, so
 /// lookups need no per-type translation; nodes not touched by the edge
 /// type simply have empty rows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Csr {
     offsets: Vec<u32>,
     neighbors: Vec<NodeId>,

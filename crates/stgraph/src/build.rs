@@ -5,14 +5,12 @@ use std::collections::HashMap;
 
 use hotspot::{SpatialHotspots, TemporalHotspots};
 use mobility::{Corpus, RecordId};
-use serde::{Deserialize, Serialize};
-
 use crate::edge::EdgeType;
 use crate::graph::ActivityGraph;
 use crate::node::{NodeId, NodeSpace, NodeType};
 
 /// Builder options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildOptions {
     /// Add user vertices and the author's `UT/UW/UL` edges. Off for plain
     /// LINE/CrossMap baselines; on for ACTOR and the `(U)` variants.
@@ -36,7 +34,7 @@ impl Default for BuildOptions {
 ///
 /// Kept by the builder so the intra-record bag-of-words objective
 /// (footnote 4) can iterate records without re-assigning hotspots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RecordUnits {
     /// The source record.
     pub record: RecordId,

@@ -1,12 +1,10 @@
 //! Typed edges of the activity graph.
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::NodeType;
 
 /// Edge type (`O_e = {TL, LW, WT, WW}` of Definition 1, plus the
 /// user-to-unit types `UT/UW/UL` of the inter-record meta-graph, Eq. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EdgeType {
     /// Temporal unit — spatial unit co-occurrence.
     TL,

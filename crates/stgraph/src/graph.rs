@@ -2,14 +2,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::adjacency::{Csr, Edge};
 use crate::edge::EdgeType;
 use crate::node::{NodeId, NodeSpace, NodeType};
 
 /// Edges of one type plus their CSR view.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TypedEdges {
     /// Canonical undirected edge list (each pair stored once).
     pub edges: Vec<Edge>,
@@ -38,7 +36,7 @@ impl TypedEdges {
 
 /// The activity graph: a typed node space plus one [`TypedEdges`] per
 /// edge type with positive support.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ActivityGraph {
     space: NodeSpace,
     per_type: Vec<Option<TypedEdges>>, // indexed by EdgeType order in ALL
@@ -142,7 +140,7 @@ impl ActivityGraph {
 }
 
 /// Aggregate statistics of an activity graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphStats {
     /// Temporal hotspot vertices.
     pub n_time: usize,

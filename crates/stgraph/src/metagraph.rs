@@ -8,15 +8,13 @@
 //! different combinations of units connected to the users"; Fig. 3b marks
 //! an `M4` instance spanning both layers).
 
-use serde::{Deserialize, Serialize};
-
 use crate::edge::EdgeType;
 use crate::graph::ActivityGraph;
 use crate::node::{NodeId, NodeType};
 use crate::usergraph::UserGraph;
 
 /// A subset of the unit types `{T, L, W}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitSet {
     /// Includes temporal units.
     pub time: bool,
@@ -54,7 +52,7 @@ impl UnitSet {
 }
 
 /// The meta-graph catalogue of Fig. 3b.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetaGraph {
     /// Intra-record T–L–W co-occurrence scheme.
     M0,

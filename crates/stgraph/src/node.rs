@@ -6,10 +6,8 @@
 //! laid out as `[T | L | W | U]`, so embedding matrices index directly by
 //! [`NodeId`] while [`NodeSpace`] converts to and from per-type indices.
 
-use serde::{Deserialize, Serialize};
-
 /// Vertex type (`O_v = {T, L, W}` of Definition 1, plus `U`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeType {
     /// Temporal hotspot unit.
     Time,
@@ -49,7 +47,7 @@ impl NodeType {
 }
 
 /// Dense global vertex identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -61,7 +59,7 @@ impl NodeId {
 }
 
 /// The `[T | L | W | U]` layout of the global id space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeSpace {
     /// Number of temporal hotspot vertices.
     pub n_time: u32,

@@ -3,11 +3,9 @@
 use std::collections::HashMap;
 
 use mobility::{Corpus, RecordId, UserId};
-use serde::{Deserialize, Serialize};
-
 /// User interaction graph: vertices are users, an edge's weight is the
 /// number of mentions between the pair (symmetrized).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UserGraph {
     n_users: u32,
     /// Canonical edge list with `a < b`.

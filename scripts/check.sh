@@ -36,4 +36,7 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings: no dangling or ambiguous doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "all checks passed"

@@ -6,15 +6,16 @@
 //! merges are order-canonical, never first-writer-wins. This suite builds
 //! the full preprocessing state at 1, 2, and 8 threads (plus a repeated
 //! 8-thread run) and compares every output bit for bit: floats are
-//! compared through `to_bits`, structures through their serialized bytes.
+//! compared through `to_bits`, structures field by field through their
+//! public accessors (edge lists, every CSR row, every record's units).
 
 use actor_st::hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use actor_st::prelude::*;
 use actor_st::stgraph::{
-    ActivityGraphBuilder, BuildOptions, EdgeSampler, EdgeType, MetaGraph, NegativeTable,
+    ActivityGraphBuilder, BuildOptions, EdgeSampler, EdgeType, MetaGraph, NegativeTable, NodeId,
     UserGraph,
 };
-use mobility::RecordId;
+use mobility::{RecordId, UserId};
 
 /// Everything the preprocessing front-end produces, flattened to
 /// exactly-comparable form.
@@ -23,6 +24,13 @@ use mobility::RecordId;
 type AliasPrint = (Vec<u32>, Vec<u64>, Vec<u32>);
 /// Edge samplers compare as `(edge list, prob bits, alias column)`.
 type SamplerPrint = (Vec<(u32, u32)>, Vec<u64>, Vec<u32>);
+/// An edge type compares as `(edges as (a, b, weight bits), every CSR row
+/// as (neighbors, weight bits))`.
+type TypedEdgesPrint = (Vec<(u32, u32, u64)>, Vec<(Vec<u32>, Vec<u64>)>);
+/// Record units compare as `(record, time, location, words, user)`.
+type UnitsPrint = (u32, u32, u32, Vec<u32>, Option<u32>);
+/// The user graph compares as `(edges, every user's (neighbor, weight bits) row)`.
+type UserGraphPrint = (Vec<(u32, u32, u64)>, Vec<Vec<(u32, u64)>>);
 
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
@@ -30,10 +38,12 @@ struct Fingerprint {
     spatial_counts: Vec<usize>,
     temporal_centers: Vec<u64>,
     temporal_counts: Vec<usize>,
-    /// Serialized `ActivityGraph`: edge lists and CSR layout, byte for byte.
-    graph_bytes: String,
-    units_bytes: String,
-    user_graph_bytes: String,
+    /// `[n_time, n_location, n_word, n_user]` of the graph's node space.
+    space: [u32; 4],
+    /// Per edge type: the canonical edge list and every CSR row.
+    graph: Vec<Option<TypedEdgesPrint>>,
+    units: Vec<UnitsPrint>,
+    user_graph: UserGraphPrint,
     /// Per edge type: sampler edge list + alias table columns.
     samplers: Vec<Option<SamplerPrint>>,
     /// Per edge type and side: negative table nodes + alias columns.
@@ -55,6 +65,26 @@ fn fingerprint(corpus: &Corpus, train_ids: &[RecordId], n_threads: usize) -> Fin
     let builder = ActivityGraphBuilder::new(corpus, &spatial, &temporal, BuildOptions::default());
     let (graph, units) = builder.build(train_ids);
     let user_graph = UserGraph::build(corpus, train_ids);
+
+    let space = graph.space();
+    let graph_print = EdgeType::ALL.iter().map(|&ty| {
+        let t = graph.edges(ty)?;
+        let edges = t.edges.iter().map(|e| (e.a.0, e.b.0, e.weight.to_bits()));
+        let rows = (0..t.csr.n_rows() as u32).map(|i| {
+            let (nodes, weights) = t.csr.row(NodeId(i));
+            (nodes.iter().map(|n| n.0).collect(), weights.iter().map(|w| w.to_bits()).collect())
+        });
+        Some((edges.collect(), rows.collect()))
+    });
+    let units_print = units.iter().map(|u| {
+        let words = u.words.iter().map(|w| w.0).collect();
+        (u.record.0, u.time.0, u.location.0, words, u.user.map(|n| n.0))
+    });
+    let user_edges = user_graph.edges().iter().map(|&(a, b, w)| (a.0, b.0, w.to_bits()));
+    let user_rows = (0..user_graph.n_users()).map(|u| {
+        let row = user_graph.neighbors(UserId(u));
+        row.iter().map(|&(v, w)| (v.0, w.to_bits())).collect()
+    });
 
     let samplers = EdgeType::ALL
         .iter()
@@ -99,9 +129,10 @@ fn fingerprint(corpus: &Corpus, train_ids: &[RecordId], n_threads: usize) -> Fin
         spatial_counts: spatial.counts().to_vec(),
         temporal_centers: temporal.centers().iter().map(|c| c.to_bits()).collect(),
         temporal_counts: temporal.counts().to_vec(),
-        graph_bytes: serde_json::to_string(&graph).unwrap(),
-        units_bytes: serde_json::to_string(&units).unwrap(),
-        user_graph_bytes: serde_json::to_string(&user_graph).unwrap(),
+        space: [space.n_time, space.n_location, space.n_word, space.n_user],
+        graph: graph_print.collect(),
+        units: units_print.collect(),
+        user_graph: (user_edges.collect(), user_rows.collect()),
         samplers,
         neg_tables,
         metagraph_counts,
@@ -133,12 +164,13 @@ fn preprocessing_is_bit_identical_across_thread_counts() {
         assert_eq!(serial.spatial_counts, parallel.spatial_counts);
         assert_eq!(serial.temporal_centers, parallel.temporal_centers);
         assert_eq!(serial.temporal_counts, parallel.temporal_counts);
+        assert_eq!(serial.space, parallel.space);
         assert_eq!(
-            serial.graph_bytes, parallel.graph_bytes,
-            "activity graph (CSR bytes) diverges at {n} threads"
+            serial.graph, parallel.graph,
+            "activity graph (edge lists, CSR rows) diverges at {n} threads"
         );
-        assert_eq!(serial.units_bytes, parallel.units_bytes);
-        assert_eq!(serial.user_graph_bytes, parallel.user_graph_bytes);
+        assert_eq!(serial.units, parallel.units);
+        assert_eq!(serial.user_graph, parallel.user_graph);
         assert_eq!(
             serial.samplers, parallel.samplers,
             "alias tables diverge at {n} threads"
