@@ -8,6 +8,7 @@
 //! graph.
 
 use mobility::{GeoPoint, SECONDS_PER_DAY};
+
 use crate::grid::Grid2D;
 use crate::meanshift::{MeanShift, MeanShiftParams};
 use crate::space::{planar_window_mean, Circular1D, Planar2D, Space};

@@ -6,6 +6,7 @@
 
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
+
 use crate::corpus::Corpus;
 use crate::error::MobilityError;
 use crate::types::RecordId;

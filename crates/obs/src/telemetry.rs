@@ -319,7 +319,7 @@ mod tests {
         let json = telemetry.to_json();
         assert!(json.starts_with("{\"wall_seconds\":1.250000"), "{json}");
         assert!(json.contains("\"name\":\"fit\",\"count\":1"), "{json}");
-        assert!(json.contains("\"name\":\"embed.samples\",\"value\":42"), "{json}");
+        assert!(json.contains("\"name\":\"embed.samples\",\"value\":42}"), "{json}");
         assert!(json.contains("\"p50\":3"), "{json}");
         assert!(json.ends_with("}"), "{json}");
     }

@@ -7,6 +7,8 @@
 pub enum Value {
     Null,
     Bool(bool),
+    /// A number with no sign, fraction or exponent that fits in a `u64`.
+    Int(u64),
     Num(f64),
     Str(String),
     Seq(Vec<Value>),
@@ -182,10 +184,10 @@ impl Parser<'_> {
             ok &= self.digits(false);
         }
         let text = &self.text[start..self.pos];
-        match text.parse() {
-            Ok(n) if ok => Ok(Value::Num(n)),
-            _ => Err(self.error(&format!("bad number `{text}`"))),
+        if !ok {
+            return Err(self.error(&format!("bad number `{text}`")));
         }
+        Ok(text.parse().map_or_else(|_| Value::Num(text.parse().unwrap()), Value::Int))
     }
 
     /// Consumes a run of digits; false if it is empty, or if `integer`
@@ -200,11 +202,14 @@ impl Parser<'_> {
 
 #[test]
 fn reads_every_kind_of_value() {
-    let v = parse(r#" {"a": [0, -2, 3.5e1, true, false, null], "s": "q\"\\\/\n\u0001é"} "#);
-    let v = v.unwrap();
+    let a = r#"[0, 12345, 18446744073709551615, true, false, null]"#;
+    let v = parse(&format!(r#" {{"a": {a}, "s": "q\"\\\/\n\u0001é"}} "#)).unwrap();
     let a = v.get("a").as_seq().unwrap();
-    assert_eq!(a[..3], [0.0, -2.0, 35.0].map(Value::Num));
+    assert_eq!(a[..3], [0, 12345, u64::MAX].map(Value::Int));
     assert_eq!(a[3..], [Value::Bool(true), Value::Bool(false), Value::Null]);
+    let nums = parse("[-2, 3.5e1, 12345.0, 1.2345e4, 12345.000000, 18446744073709551616]");
+    let nums_want = [-2.0, 35.0, 12345.0, 12345.0, 12345.0, 2f64.powi(64)].map(Value::Num);
+    assert_eq!(nums.unwrap().as_seq().unwrap(), nums_want);
     assert_eq!(v.get("s").as_str(), Some("q\"\\/\n\u{1}é"));
     assert_eq!(v.get("missing"), &Value::Null);
     assert_eq!(parse("[ ]"), Ok(Value::Seq(vec![])));

@@ -104,7 +104,7 @@ fn run_telemetry_json_round_trips() {
     let counters = v.get("counters").as_seq().expect("counters array");
     assert!(counters.iter().any(|c| {
         c.get("name").as_str() == Some("it.json.samples")
-            && c.get("value") == &json::Value::Num(12345.0)
+            && c.get("value") == &json::Value::Int(12345)
     }));
 
     let histograms = v.get("histograms").as_seq().expect("histograms array");

@@ -109,13 +109,6 @@ impl FaultPlan {
         }
     }
 
-    /// Flips `n` deterministic bytes of the file at `path`.
-    pub fn flip_file_bytes(&self, path: &Path, n: usize) -> io::Result<()> {
-        let mut bytes = fs::read(path)?;
-        self.flip_bytes(&mut bytes, n);
-        fs::write(path, bytes)
-    }
-
     /// Truncates `data` to `keep_fraction` of its length (clamped to
     /// `[0, 1]`).
     pub fn truncate_bytes(&self, data: &mut Vec<u8>, keep_fraction: f64) {

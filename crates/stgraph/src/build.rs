@@ -5,6 +5,7 @@ use std::collections::HashMap;
 
 use hotspot::{SpatialHotspots, TemporalHotspots};
 use mobility::{Corpus, RecordId};
+
 use crate::edge::EdgeType;
 use crate::graph::ActivityGraph;
 use crate::node::{NodeId, NodeSpace, NodeType};

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use mobility::{Corpus, RecordId, UserId};
+
 /// User interaction graph: vertices are users, an edge's weight is the
 /// number of mentions between the pair (symmetrized).
 #[derive(Debug, Clone)]

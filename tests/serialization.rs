@@ -1,7 +1,6 @@
 //! Persistence round-trips of the embedding store's byte encoding (the
-//! store section of a saved `ACTORCP1` model). Corpora are not persisted:
-//! they are rebuilt from records through `Corpus::new`, which checks every
-//! id.
+//! store section of a saved `ACTORCP1` model). Corpora are not persisted;
+//! `Corpus::new` rebuilds them from records and checks every id.
 
 use actor_st::embed::EmbeddingStore;
 use actor_st::prelude::*;
