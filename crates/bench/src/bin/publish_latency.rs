@@ -17,7 +17,7 @@
 
 use std::time::{Duration, Instant};
 
-use actor_core::TrainedModel;
+use actor_core::{StoreDelta, TrainedModel};
 use benchkit::ObsScope;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serve::snapshot::{IndexParams, Snapshot};
@@ -52,13 +52,14 @@ fn parse_args() -> Args {
     args
 }
 
-/// Drifts `rows` random rows of `model` inside a fresh generation window
-/// and returns the drained delta covering exactly those rows.
-fn drift_rows(model: &mut TrainedModel, rows: usize, rng: &mut StdRng) -> actor_core::StoreDelta {
+/// Drifts `rows` random center rows of `model` and returns the delta
+/// covering exactly those rows.
+fn drift_rows(model: &mut TrainedModel, rows: usize, rng: &mut StdRng) -> StoreDelta {
     let n = model.space().len();
-    let sync = model.store().close_generation();
+    let mut delta = StoreDelta::default();
     for _ in 0..rows {
         let i = rng.random_range(0..n);
+        delta.centers.push(i as u32);
         let drifted: Vec<f32> = model
             .store()
             .centers
@@ -68,7 +69,9 @@ fn drift_rows(model: &mut TrainedModel, rows: usize, rng: &mut StdRng) -> actor_
             .collect();
         model.store_mut().centers.set_row(i, &drifted);
     }
-    model.store().drain_dirty(sync)
+    delta.centers.sort_unstable();
+    delta.centers.dedup();
+    delta
 }
 
 fn main() {

@@ -31,10 +31,9 @@ pub mod resilient;
 
 pub use ablation::Variant;
 pub use config::ActorConfig;
-pub use embed::StoreDelta;
 pub use error::{ConfigError, FitError, PersistError};
 pub use model::{ModelArtifacts, TrainedModel};
 pub use online::{OnlineActor, OnlineParams};
 pub use pipeline::{fit, FitReport};
-pub use publish::{fit_resume_with_sink, fit_with_sink, ModelSink};
+pub use publish::{ModelSink, StoreDelta};
 pub use resilient::{fit_checkpointed, fit_resume, ResilienceOptions, ResilienceReport};

@@ -14,14 +14,14 @@
 
 use std::collections::VecDeque;
 
-use embed::{NegativeSamplingUpdate, SgdParams};
+use embed::{EmbeddingStore, NegativeSamplingUpdate, SgdParams};
 use mobility::{GeoPoint, Record};
 use rand::seq::IndexedRandom;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use stgraph::{NodeId, NodeType};
 
 use crate::model::TrainedModel;
-use crate::publish::{record_publish, ModelSink};
+use crate::publish::{record_publish, ModelSink, StoreDelta};
 
 /// Streaming-update parameters.
 #[derive(Debug, Clone, Copy)]
@@ -60,7 +60,7 @@ impl Default for OnlineParams {
 }
 
 /// Units of one streamed record under the model's node space.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct StreamUnits {
     time: NodeId,
     location: NodeId,
@@ -68,46 +68,99 @@ struct StreamUnits {
     user: Option<NodeId>,
 }
 
+/// The store rows streaming steps wrote since the last publish: one flag
+/// per row of each matrix.
+struct DirtyRows {
+    centers: Vec<bool>,
+    contexts: Vec<bool>,
+}
+
+impl DirtyRows {
+    /// Flags the rows one SGD step writes: every center, the context, and
+    /// the negative's context row when the step draws negatives (a
+    /// negative equal to the context is skipped, and that row is flagged
+    /// as the context anyway).
+    fn mark(&mut self, centers: &[usize], context: usize, negative: usize, negatives: bool) {
+        for &c in centers {
+            self.centers[c] = true;
+        }
+        self.contexts[context] = true;
+        if negatives {
+            self.contexts[negative] = true;
+        }
+    }
+
+    /// The flagged rows in row order (sorted, duplicate-free), clearing
+    /// every flag.
+    fn drain(&mut self) -> StoreDelta {
+        fn take(flags: &mut [bool]) -> Vec<u32> {
+            let rows = (0..flags.len() as u32)
+                .filter(|&i| flags[i as usize])
+                .collect();
+            flags.fill(false);
+            rows
+        }
+        StoreDelta {
+            centers: take(&mut self.centers),
+            contexts: take(&mut self.contexts),
+        }
+    }
+}
+
+/// What a streaming SGD pass uses besides the model, kept apart from the
+/// recency buffer so a buffered record replays by reference.
+struct Trainer {
+    updater: NegativeSamplingUpdate,
+    rng: StdRng,
+    /// Nodes of each type observed in the stream, for negative sampling.
+    seen: [Vec<NodeId>; 4],
+    /// Rows written since the sink last caught up: the next delta publish.
+    dirty: DirtyRows,
+    /// Scratch for a record's word bag, reused across passes.
+    bag: Vec<usize>,
+}
+
 /// A model wrapper that keeps learning from streamed records.
 pub struct OnlineActor {
     model: TrainedModel,
     params: OnlineParams,
-    updater: NegativeSamplingUpdate,
-    rng: StdRng,
+    trainer: Trainer,
     buffer: VecDeque<StreamUnits>,
-    /// Nodes of each type observed in the stream, for negative sampling.
-    seen: [Vec<NodeId>; 4],
     observed: u64,
     skipped_words: u64,
     skipped_records: u64,
     /// Snapshot sink plus publication cadence in observed records.
     sink: Option<(std::sync::Arc<dyn ModelSink>, u64)>,
-    /// Store generation the sink last caught up to; rows stamped after it
-    /// form the next delta publish.
-    synced_gen: u64,
 }
 
 impl OnlineActor {
     /// Wraps a fitted model for streaming updates.
     pub fn new(model: TrainedModel, params: OnlineParams) -> Self {
         let dim = model.store().dim();
+        let n = model.store().n_nodes();
         Self {
-            updater: NegativeSamplingUpdate::new(
-                dim,
-                SgdParams {
-                    learning_rate: params.learning_rate,
-                    negatives: params.negatives,
-                    grad_clip: params.grad_clip,
+            trainer: Trainer {
+                updater: NegativeSamplingUpdate::new(
+                    dim,
+                    SgdParams {
+                        learning_rate: params.learning_rate,
+                        negatives: params.negatives,
+                        grad_clip: params.grad_clip,
+                    },
+                ),
+                rng: StdRng::seed_from_u64(params.seed),
+                seen: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
+                dirty: DirtyRows {
+                    centers: vec![false; n],
+                    contexts: vec![false; n],
                 },
-            ),
-            rng: StdRng::seed_from_u64(params.seed),
+                bag: Vec::new(),
+            },
             buffer: VecDeque::with_capacity(params.buffer),
-            seen: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
             observed: 0,
             skipped_words: 0,
             skipped_records: 0,
             sink: None,
-            synced_gen: 0,
             model,
             params,
         }
@@ -123,10 +176,9 @@ impl OnlineActor {
     /// Panics if `every` is zero.
     pub fn attach_sink(&mut self, sink: std::sync::Arc<dyn ModelSink>, every: u64) {
         assert!(every > 0, "publication cadence must be positive");
-        // Close the open generation *before* the full publish: every row
-        // stamped so far is covered by this snapshot, and anything touched
-        // afterwards lands in the first delta.
-        self.synced_gen = self.model.store().close_generation();
+        // Every row touched so far is covered by this full publish;
+        // anything touched afterwards lands in the first delta.
+        self.trainer.dirty.drain();
         record_publish(2 * self.model.store().n_nodes());
         sink.publish(&self.model);
         self.sink = Some((sink, every));
@@ -159,14 +211,15 @@ impl OnlineActor {
 
     fn remember(&mut self, node: NodeId) {
         let ty = self.model.space().type_of(node).index();
+        let Trainer { rng, seen, .. } = &mut self.trainer;
         // Bounded dedup-free reservoir: occasional duplicates only skew
         // negatives toward frequent nodes, which is the degree-biased
         // noise distribution anyway.
-        if self.seen[ty].len() < 65_536 {
-            self.seen[ty].push(node);
+        if seen[ty].len() < 65_536 {
+            seen[ty].push(node);
         } else {
-            let i = self.rng.random_range(0..self.seen[ty].len());
-            self.seen[ty][i] = node;
+            let i = rng.random_range(0..seen[ty].len());
+            seen[ty][i] = node;
         }
     }
 
@@ -235,16 +288,16 @@ impl OnlineActor {
             self.remember(node);
         }
 
+        let store = self.model.store();
         for _ in 0..self.params.steps_per_record {
-            self.train_units_owned(&units);
+            self.trainer.train(store, &units);
         }
         for _ in 0..self.params.replay {
             if self.buffer.is_empty() {
                 break;
             }
-            let i = self.rng.random_range(0..self.buffer.len());
-            let replayed = self.buffer[i].clone();
-            self.train_units_owned(&replayed);
+            let i = self.trainer.rng.random_range(0..self.buffer.len());
+            self.trainer.train(store, &self.buffer[i]);
         }
 
         if self.buffer.len() == self.params.buffer {
@@ -254,68 +307,83 @@ impl OnlineActor {
         self.observed += 1;
         if let Some((sink, every)) = &self.sink {
             if self.observed.is_multiple_of(*every) {
-                let delta = self.model.store().drain_dirty(self.synced_gen);
+                let delta = self.trainer.dirty.drain();
                 record_publish(delta.dirty_rows());
                 sink.publish_delta(&self.model, &delta);
-                self.synced_gen = delta.generation;
             }
         }
         true
     }
+}
 
-    /// One pass of pair updates for a record's units.
-    fn train_units_owned(&mut self, units: &StreamUnits) {
-        let store = self.model.store();
-        // Borrow split: negatives need `seen` and `rng`, the updater needs
-        // `updater`; pull what we need into locals.
-        let seen = &self.seen;
-        let rng = &mut self.rng;
-        let upd = &mut self.updater;
-
+impl Trainer {
+    /// One pass of pair updates for a record's units, flagging every row
+    /// it writes.
+    fn train(&mut self, store: &EmbeddingStore, units: &StreamUnits) {
+        let Self {
+            updater: upd,
+            rng,
+            seen,
+            dirty,
+            bag,
+        } = self;
+        let negatives = upd.params().negatives > 0;
         let neg_of = |ty: NodeType, rng: &mut StdRng| -> Option<usize> {
             let pool = &seen[ty.index()];
             pool.choose(rng).map(|n| n.idx())
         };
+        let (time, location) = (units.time.idx(), units.location.idx());
 
         // T ↔ L.
         if let Some(n) = neg_of(NodeType::Location, rng) {
-            upd.step(store, units.time.idx(), units.location.idx(), rng, |_| n);
+            upd.step(store, time, location, rng, |_| n);
+            dirty.mark(&[time], location, n, negatives);
         }
         if let Some(n) = neg_of(NodeType::Time, rng) {
-            upd.step(store, units.location.idx(), units.time.idx(), rng, |_| n);
+            upd.step(store, location, time, rng, |_| n);
+            dirty.mark(&[location], time, n, negatives);
         }
-        if !units.words.is_empty() {
-            let bag: Vec<usize> = units.words.iter().map(|w| w.idx()).collect();
-            // bag → L, bag → T (footnote-4 style).
+        if units.words.is_empty() {
+            return;
+        }
+        bag.clear();
+        bag.extend(units.words.iter().map(|w| w.idx()));
+        // bag → L, bag → T (footnote-4 style).
+        if let Some(n) = neg_of(NodeType::Location, rng) {
+            upd.step_bag(store, bag, location, rng, |_| n);
+            dirty.mark(bag, location, n, negatives);
+        }
+        if let Some(n) = neg_of(NodeType::Time, rng) {
+            upd.step_bag(store, bag, time, rng, |_| n);
+            dirty.mark(bag, time, n, negatives);
+        }
+        // One word pair.
+        if bag.len() >= 2 {
+            if let Some(n) = neg_of(NodeType::Word, rng) {
+                let i = rng.random_range(0..bag.len());
+                let mut j = rng.random_range(0..bag.len() - 1);
+                if j >= i {
+                    j += 1;
+                }
+                upd.step(store, bag[i], bag[j], rng, |_| n);
+                dirty.mark(&[bag[i]], bag[j], n, negatives);
+            }
+        }
+        // Author ↔ units (inter-record layer).
+        if let Some(user) = units.user {
+            let user = user.idx();
+            if let Some(n) = neg_of(NodeType::Word, rng) {
+                let w = *bag.choose(rng).expect("non-empty bag");
+                upd.step(store, user, w, rng, |_| n);
+                dirty.mark(&[user], w, n, negatives);
+            }
             if let Some(n) = neg_of(NodeType::Location, rng) {
-                upd.step_bag(store, &bag, units.location.idx(), rng, |_| n);
+                upd.step(store, user, location, rng, |_| n);
+                dirty.mark(&[user], location, n, negatives);
             }
             if let Some(n) = neg_of(NodeType::Time, rng) {
-                upd.step_bag(store, &bag, units.time.idx(), rng, |_| n);
-            }
-            // One word pair.
-            if bag.len() >= 2 {
-                if let Some(n) = neg_of(NodeType::Word, rng) {
-                    let i = rng.random_range(0..bag.len());
-                    let mut j = rng.random_range(0..bag.len() - 1);
-                    if j >= i {
-                        j += 1;
-                    }
-                    upd.step(store, bag[i], bag[j], rng, |_| n);
-                }
-            }
-            // Author ↔ units (inter-record layer).
-            if let Some(user) = units.user {
-                if let Some(n) = neg_of(NodeType::Word, rng) {
-                    let w = *bag.choose(rng).expect("non-empty bag");
-                    upd.step(store, user.idx(), w, rng, |_| n);
-                }
-                if let Some(n) = neg_of(NodeType::Location, rng) {
-                    upd.step(store, user.idx(), units.location.idx(), rng, |_| n);
-                }
-                if let Some(n) = neg_of(NodeType::Time, rng) {
-                    upd.step(store, user.idx(), units.time.idx(), rng, |_| n);
-                }
+                upd.step(store, user, time, rng, |_| n);
+                dirty.mark(&[user], time, n, negatives);
             }
         }
     }
@@ -363,10 +431,7 @@ mod tests {
         let loc = GeoPoint::new(40.7, -73.9);
         let before = {
             let t = model.time_of_day_node(target_second);
-            cosine(
-                model.vector(model.word_node(beach)),
-                model.vector(t),
-            )
+            cosine(model.vector(model.word_node(beach)), model.vector(t))
         };
         let mut online = OnlineActor::new(
             model,
@@ -437,7 +502,7 @@ mod tests {
             fn publish(&self, _m: &TrainedModel) {
                 self.full.fetch_add(1, Ordering::SeqCst);
             }
-            fn publish_delta(&self, _m: &TrainedModel, delta: &embed::StoreDelta) {
+            fn publish_delta(&self, _m: &TrainedModel, delta: &crate::StoreDelta) {
                 self.deltas.fetch_add(1, Ordering::SeqCst);
                 self.delta_rows
                     .fetch_add(delta.dirty_rows() as u64, Ordering::SeqCst);
@@ -466,6 +531,68 @@ mod tests {
             rows < sink.deltas.load(Ordering::SeqCst) * 2 * n_nodes as u64,
             "deltas must be narrower than full republishes: {rows}"
         );
+    }
+
+    /// Keeps the row bits of its last publish and checks that each delta
+    /// lists exactly the rows whose bits changed since then.
+    #[derive(Default)]
+    struct BitDiff {
+        rows: std::sync::Mutex<[Vec<Vec<u32>>; 2]>,
+        deltas: std::sync::atomic::AtomicU64,
+    }
+
+    fn row_bits(m: &TrainedModel) -> [Vec<Vec<u32>>; 2] {
+        let store = m.store();
+        [&store.centers, &store.contexts].map(|matrix| {
+            (0..matrix.n_rows())
+                .map(|i| matrix.row(i).iter().map(|x| x.to_bits()).collect())
+                .collect()
+        })
+    }
+
+    impl crate::publish::ModelSink for BitDiff {
+        fn publish(&self, m: &TrainedModel) {
+            *self.rows.lock().unwrap() = row_bits(m);
+        }
+
+        fn publish_delta(&self, m: &TrainedModel, delta: &crate::StoreDelta) {
+            let now = row_bits(m);
+            let mut last = self.rows.lock().unwrap();
+            for (side, listed) in [&delta.centers, &delta.contexts].into_iter().enumerate() {
+                let changed: Vec<u32> = (0..now[side].len())
+                    .filter(|&i| now[side][i] != last[side][i])
+                    .map(|i| i as u32)
+                    .collect();
+                assert_eq!(
+                    listed, &changed,
+                    "matrix {side}: delta rows vs changed rows"
+                );
+            }
+            *last = now;
+            self.deltas
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn cadence_deltas_list_exactly_the_changed_rows() {
+        let (corpus, split, model) = fitted();
+        for negatives in [OnlineParams::default().negatives, 0] {
+            let params = OnlineParams {
+                negatives,
+                ..OnlineParams::default()
+            };
+            let mut online = OnlineActor::new(model.clone(), params);
+            let sink = std::sync::Arc::new(BitDiff::default());
+            online.attach_sink(sink.clone(), 5);
+            let mut accepted = 0u64;
+            for &rid in split.valid.iter() {
+                accepted += u64::from(online.observe(corpus.record(rid)));
+            }
+            assert!(accepted >= 10, "need a few cadence windows");
+            let deltas = sink.deltas.load(std::sync::atomic::Ordering::SeqCst);
+            assert_eq!(deltas, accepted / 5, "negatives = {negatives}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | section   | contents                                                 |
 //! |-----------|----------------------------------------------------------|
 //! | artifacts | node space, spatial and temporal hotspot centers, temporal period, vocabulary, every [`ActorConfig`] field |
-//! | store     | [`EmbeddingStore::to_bytes`]: `n`, `dim`, write generation, centers, contexts |
+//! | store     | [`EmbeddingStore::to_bytes`]: `n`, `dim`, centers, contexts |
 //!
 //! [`TrainedModel::save`] writes it atomically through
 //! [`resilience::write_sealed`]. [`TrainedModel::load`] opens any such
@@ -347,7 +347,6 @@ mod tests {
 
         assert_eq!(loaded.space(), m.space());
         assert_eq!(loaded.vocab().len(), m.vocab().len());
-        assert_eq!(loaded.store().generation(), m.store().generation());
         // Same vectors.
         for i in 0..m.space().len() {
             assert_eq!(loaded.store().centers.row(i), m.store().centers.row(i));
@@ -569,6 +568,21 @@ mod tests {
             assert_eq!(loaded.config(), &config);
             assert_eq!(loaded.temporal_hotspots().period(), config.temporal_period);
         }
+    }
+
+    #[test]
+    fn a_store_with_a_generation_word_is_rejected() {
+        // Files written before the store lost its write generation carry
+        // `[n][dim][generation][centers][contexts]`: they fail cleanly
+        // and are never misread.
+        let m = model();
+        let new = payload_of(&m);
+        let header_end = new.len() - m.store().byte_len() + 16;
+        let mut old = new[..header_end].to_vec();
+        old.extend_from_slice(&7u64.to_le_bytes());
+        old.extend_from_slice(&new[header_end..]);
+        let r = decode_payload(Bytes::from(old)).err();
+        assert!(matches!(r, Some(PersistError::Store { .. })), "{r:?}");
     }
 
     #[test]

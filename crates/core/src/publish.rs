@@ -5,17 +5,33 @@
 //! checkpoint-restored resume, or every N records of a streaming update —
 //! without `core` depending on any particular serving implementation.
 //! [`ModelSink`] is that seam: anything that can absorb a finished
-//! [`TrainedModel`] implements it, and the training entry points accept
-//! one.
+//! [`TrainedModel`] implements it: a batch caller runs `fit` and then
+//! `sink.publish(&model)`, and [`crate::OnlineActor::attach_sink`] keeps a
+//! sink current with a live stream.
 
-use embed::StoreDelta;
-use mobility::{Corpus, RecordId};
-
-use crate::config::ActorConfig;
-use crate::error::FitError;
 use crate::model::TrainedModel;
-use crate::pipeline::{fit, FitReport};
-use crate::resilient::{fit_resume, ResilienceOptions, ResilienceReport};
+
+/// The store rows changed since a sink's last publish: the payload of
+/// [`ModelSink::publish_delta`]. Row lists are sorted and duplicate-free.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StoreDelta {
+    /// Changed center-matrix rows (global node indexes).
+    pub centers: Vec<u32>,
+    /// Changed context-matrix rows (global node indexes).
+    pub contexts: Vec<u32>,
+}
+
+impl StoreDelta {
+    /// Total changed rows across both matrices.
+    pub fn dirty_rows(&self) -> usize {
+        self.centers.len() + self.contexts.len()
+    }
+
+    /// True when no row changed since the last publish.
+    pub fn is_empty(&self) -> bool {
+        self.centers.is_empty() && self.contexts.is_empty()
+    }
+}
 
 /// A destination for freshly trained models.
 ///
@@ -35,8 +51,8 @@ pub trait ModelSink: Send + Sync {
 
     /// Absorbs an incrementally updated model: only the store rows listed
     /// in `delta` changed since this sink last saw `model` (same artifact
-    /// `Arc`, same shape). Publishers obtain the delta from
-    /// [`embed::EmbeddingStore::drain_dirty`] between training steps.
+    /// `Arc`, same shape). [`crate::OnlineActor`] tracks the rows its
+    /// streaming steps touch and publishes them between steps.
     ///
     /// The default forwards to [`ModelSink::publish`], so sinks without an
     /// incremental path stay correct — just not cheap.
@@ -55,69 +71,14 @@ pub(crate) fn record_publish(dirty_rows: usize) {
     obs::counter("core.publish.dirty_rows").add(dirty_rows as u64);
 }
 
-/// [`fit`], then publish the finished model to `sink` before returning
-/// it — so a query engine starts answering from the new model in the same
-/// breath the training call completes.
-pub fn fit_with_sink(
-    corpus: &Corpus,
-    train_ids: &[RecordId],
-    config: &ActorConfig,
-    sink: &dyn ModelSink,
-) -> Result<(TrainedModel, FitReport), FitError> {
-    let (model, report) = fit(corpus, train_ids, config)?;
-    record_publish(2 * model.store().n_nodes());
-    sink.publish(&model);
-    Ok((model, report))
-}
-
-/// [`fit_resume`], then publish the recovered-and-finished model to
-/// `sink` — the restart path of a serving deployment: crash, resume from
-/// the newest intact checkpoint, republish.
-pub fn fit_resume_with_sink(
-    corpus: &Corpus,
-    train_ids: &[RecordId],
-    config: &ActorConfig,
-    opts: &ResilienceOptions,
-    sink: &dyn ModelSink,
-) -> Result<(TrainedModel, FitReport, ResilienceReport), FitError> {
-    let (model, report, resilience) = fit_resume(corpus, train_ids, config, opts)?;
-    record_publish(2 * model.store().n_nodes());
-    sink.publish(&model);
-    Ok((model, report, resilience))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ActorConfig;
+    use crate::pipeline::fit;
     use mobility::synth::{generate, DatasetPreset};
     use mobility::{CorpusSplit, SplitSpec};
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    struct CountingSink {
-        published: AtomicUsize,
-        nodes_seen: AtomicUsize,
-    }
-
-    impl ModelSink for CountingSink {
-        fn publish(&self, model: &TrainedModel) {
-            self.published.fetch_add(1, Ordering::SeqCst);
-            self.nodes_seen.store(model.space().len(), Ordering::SeqCst);
-        }
-    }
-
-    #[test]
-    fn fit_with_sink_publishes_the_finished_model() {
-        let (corpus, _) = generate(DatasetPreset::Foursquare.small_config(5)).unwrap();
-        let split = CorpusSplit::new(&corpus, SplitSpec::default()).unwrap();
-        let sink = CountingSink {
-            published: AtomicUsize::new(0),
-            nodes_seen: AtomicUsize::new(0),
-        };
-        let (model, _) =
-            fit_with_sink(&corpus, &split.train, &ActorConfig::fast(), &sink).unwrap();
-        assert_eq!(sink.published.load(Ordering::SeqCst), 1);
-        assert_eq!(sink.nodes_seen.load(Ordering::SeqCst), model.space().len());
-    }
 
     #[test]
     fn delta_publish_carries_only_dirty_rows() {
@@ -142,11 +103,13 @@ mod tests {
             delta_rows: AtomicUsize::new(0),
         };
 
-        // Sync point, then touch exactly two center rows.
-        let sync = model.store().close_generation();
+        // Touch exactly two center rows and publish them as a delta.
         model.store_mut().centers.row_mut(0).fill(123.0);
         model.store_mut().centers.row_mut(3).fill(-1.0);
-        let delta = model.store().drain_dirty(sync);
+        let delta = StoreDelta {
+            centers: vec![0, 3],
+            contexts: vec![],
+        };
         sink.publish_delta(&model, &delta);
         assert_eq!(sink.delta_rows.load(Ordering::SeqCst), 2);
         assert_eq!(sink.full.load(Ordering::SeqCst), 0, "no full-model publish");

@@ -17,8 +17,8 @@
 //! init) are deterministic given `(corpus, config)` and are re-derived on
 //! resume rather than restored. A checkpoint is nevertheless a complete
 //! model file (see [`crate::persist`]): its payload is the artifacts
-//! metadata, encoded once per run, followed by the embedding store with
-//! its dirty-tracking generation cursor, so any checkpoint opens with
+//! metadata, encoded once per run, followed by the embedding store
+//! (`[n][dim][centers][contexts]`), so any checkpoint opens with
 //! [`TrainedModel::load`].
 
 use std::path::PathBuf;

@@ -32,4 +32,4 @@ pub mod store;
 
 pub use line::{LineOrder, LineParams, LineTrainer};
 pub use sgd::{NegativeSamplingUpdate, SgdParams};
-pub use store::{EmbeddingStore, Matrix, NormalizedRows, StoreDelta};
+pub use store::{EmbeddingStore, Matrix, NormalizedRows};

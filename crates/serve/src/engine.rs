@@ -9,8 +9,8 @@
 //! Publishing a new model generation — from online streaming updates, a
 //! restored checkpoint, or a fresh training run — is [`QueryEngine::publish`];
 //! the engine also implements [`actor_core::ModelSink`], so it can be
-//! handed directly to `fit_with_sink` / `OnlineActor::attach_sink` and
-//! receive generations as training produces them.
+//! handed directly to `OnlineActor::attach_sink` and receive generations
+//! as the stream produces them.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -446,12 +446,13 @@ mod tests {
     fn delta_publish_serves_the_updated_rows() {
         let mut m = model();
         let engine = QueryEngine::with_defaults(&m);
-        let sync = m.store().close_generation();
         // Drift one word row, then publish only the delta.
         let node = m.space().node(NodeType::Word, 1);
         m.store_mut().centers.row_mut(node.idx())[0] += 0.5;
-        let delta = m.store().drain_dirty(sync);
-        assert_eq!(delta.dirty_rows(), 1);
+        let delta = StoreDelta {
+            centers: vec![node.0],
+            contexts: vec![],
+        };
         engine.publish_delta(&m, &delta);
         assert_eq!(engine.epoch(), 2);
         assert_eq!(engine.stats().publishes, 1);
@@ -466,7 +467,7 @@ mod tests {
         let sink: &dyn ModelSink = &engine;
         sink.publish(&m);
         assert_eq!(engine.epoch(), 2);
-        sink.publish_delta(&m, &m.store().drain_dirty(m.store().close_generation()));
+        sink.publish_delta(&m, &StoreDelta::default());
         assert_eq!(engine.epoch(), 3);
     }
 }

@@ -27,7 +27,7 @@
 //! * [`query`] / [`engine`] — the typed request/response API and the
 //!   [`QueryEngine`] tying it all together. The engine implements
 //!   [`actor_core::ModelSink`] — both the full and the delta form — so
-//!   `fit_with_sink` or `OnlineActor::attach_sink` can publish straight
+//!   a caller of `fit` or `OnlineActor::attach_sink` can publish straight
 //!   into it, and streaming updaters pay only for the rows they touched.
 //!
 //! ```no_run

@@ -412,11 +412,12 @@ mod tests {
     fn apply_delta_refreshes_dirty_rows_and_keeps_clean_rows_bit_identical() {
         let mut m = model();
         let snap = Snapshot::build(&m, &IndexParams::default(), 1);
-        let sync = m.store().close_generation();
         let node = m.space().node(NodeType::Word, 2);
         m.store_mut().centers.row_mut(node.idx()).fill(0.25);
-        let delta = m.store().drain_dirty(sync);
-        assert_eq!(delta.centers, vec![node.idx() as u32]);
+        let delta = StoreDelta {
+            centers: vec![node.0],
+            contexts: vec![],
+        };
 
         let next = Snapshot::apply_delta(&snap, &m, &delta, &IndexParams::default(), 2);
         assert_eq!(next.epoch(), 2);
@@ -441,7 +442,11 @@ mod tests {
         // A second fit: same corpus shape, different artifact Arc.
         let other = model();
         assert!(!Arc::ptr_eq(m.artifacts(), other.artifacts()));
-        let delta = other.store().drain_dirty(0);
+        let all: Vec<u32> = (0..other.space().len() as u32).collect();
+        let delta = StoreDelta {
+            centers: all.clone(),
+            contexts: all,
+        };
         let next = Snapshot::apply_delta(&snap, &other, &delta, &IndexParams::default(), 2);
         assert!(Arc::ptr_eq(next.artifacts(), other.artifacts()));
         assert_eq!(next.vector(NodeId(0)), other.vector(NodeId(0)));

@@ -4,13 +4,15 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use mobility::GeoPoint;
+use actor_core::{ActorConfig, OnlineActor, OnlineParams, StoreDelta};
+use mobility::synth::{generate, DatasetPreset};
+use mobility::{CorpusSplit, GeoPoint, SplitSpec};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serve::hnsw::SearchScratch;
 use serve::snapshot::{IndexParams, Snapshot};
 use serve::testkit::{probe_near, synthetic_model};
 use serve::{EngineParams, QueryEngine, QueryRequest};
-use stgraph::NodeType;
+use stgraph::{NodeId, NodeType};
 
 /// Recall@10 of the ANN path against the brute-force reference, per
 /// modality, on a corpus large enough (4096/modality) that every modality
@@ -134,9 +136,10 @@ fn stream_and_apply(
 ) -> Snapshot {
     let n = model.space().len();
     for round in 0..rounds {
-        let sync = model.store().close_generation();
+        let mut delta = StoreDelta::default();
         for _ in 0..per_round {
             let i = rng.random_range(0..n);
+            delta.centers.push(i as u32);
             let drifted: Vec<f32> = model
                 .store()
                 .centers
@@ -146,7 +149,8 @@ fn stream_and_apply(
                 .collect();
             model.store_mut().centers.set_row(i, &drifted);
         }
-        let delta = model.store().drain_dirty(sync);
+        delta.centers.sort_unstable();
+        delta.centers.dedup();
         snap = Snapshot::apply_delta(&snap, model, &delta, params, snap.epoch() + 1 + round);
     }
     snap
@@ -228,6 +232,47 @@ fn delta_patched_ann_index_stays_accurate() {
     }
     let recall = hit as f64 / total as f64;
     assert!(recall >= 0.9, "post-delta recall@10 = {recall:.3}");
+}
+
+/// Records streamed through `OnlineActor` into an engine: once the stream
+/// ends on a cadence boundary, every row the engine serves equals the live
+/// model's, on the exact scan and with every modality on HNSW.
+#[test]
+fn streamed_deltas_keep_every_served_row_equal_to_the_model() {
+    let (corpus, _) = generate(DatasetPreset::Foursquare.small_config(21)).unwrap();
+    let split = CorpusSplit::new(&corpus, SplitSpec::default()).unwrap();
+    let (model, _) = actor_core::fit(&corpus, &split.train, &ActorConfig::fast()).unwrap();
+    let (every, records) = (5, 40);
+    for ann_threshold in [usize::MAX, 0] {
+        let params = EngineParams {
+            index: IndexParams {
+                ann_threshold,
+                ..IndexParams::default()
+            },
+            ..EngineParams::default()
+        };
+        let engine = Arc::new(QueryEngine::new(&model, params));
+        let mut online = OnlineActor::new(model.clone(), OnlineParams::default());
+        online.attach_sink(engine.clone(), every);
+        for &rid in split.valid.iter().chain(&split.test) {
+            online.observe(corpus.record(rid));
+            if online.observed() == records {
+                break;
+            }
+        }
+        assert_eq!(online.observed(), records, "the splits are too small");
+        // The full publish at attach, then one delta per cadence window.
+        assert_eq!(engine.stats().publishes, 1 + records / every);
+        let served = engine.snapshot();
+        let live = online.model();
+        for i in 0..live.space().len() as u32 {
+            assert_eq!(
+                served.vector(NodeId(i)),
+                live.vector(NodeId(i)),
+                "ann_threshold {ann_threshold}: row {i}"
+            );
+        }
+    }
 }
 
 /// The engine's ANN answers agree with a forced-exact twin engine on the

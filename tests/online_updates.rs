@@ -1,9 +1,11 @@
 //! Integration tests for the streaming (online) extension.
 
-use actor_st::core::{OnlineActor, OnlineParams};
+use std::sync::{Arc, Mutex};
+
+use actor_st::core::{ModelSink, OnlineActor, OnlineParams, StoreDelta};
 use actor_st::prelude::*;
 
-fn fitted(seed: u64) -> (Corpus, CorpusSplit, actor_st::core::TrainedModel) {
+fn fitted(seed: u64) -> (Corpus, CorpusSplit, TrainedModel) {
     let (corpus, _) = generate(DatasetPreset::Utgeo2011.small_config(seed)).unwrap();
     let split = CorpusSplit::new(&corpus, SplitSpec::default()).unwrap();
     let (model, _) = fit(&corpus, &split.train, &ActorConfig::fast()).unwrap();
@@ -81,4 +83,61 @@ fn observe_is_deterministic_per_seed() {
     // single-threaded).
     let (_, _, model2) = fitted(502);
     assert_eq!(run(model), run(model2));
+}
+
+/// Records every cadence delta's row lists, each list closed by a
+/// `u32::MAX` separator.
+#[derive(Default)]
+struct DeltaLog(Mutex<Vec<u32>>);
+
+impl ModelSink for DeltaLog {
+    fn publish(&self, _model: &TrainedModel) {}
+
+    fn publish_delta(&self, _model: &TrainedModel, delta: &StoreDelta) {
+        let mut log = self.0.lock().unwrap();
+        for rows in [&delta.centers, &delta.contexts] {
+            log.extend(rows);
+            log.push(u32::MAX);
+        }
+    }
+}
+
+/// FNV-1a over every center and context row, as raw bits, after a
+/// fixed-seed stream, followed by the concatenated row lists of every
+/// cadence delta that stream published.
+fn streaming_fingerprint() -> u64 {
+    let (corpus, split, model) = fitted(503);
+    let mut online = OnlineActor::new(model, OnlineParams::default());
+    let log = Arc::new(DeltaLog::default());
+    online.attach_sink(log.clone(), 7);
+    for &rid in split.valid.iter().take(120) {
+        online.observe(corpus.record(rid));
+    }
+    let model = online.into_model();
+    let store = model.store();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for matrix in [&store.centers, &store.contexts] {
+        for i in 0..matrix.n_rows() {
+            matrix
+                .row(i)
+                .iter()
+                .for_each(|x| eat(u64::from(x.to_bits())));
+        }
+    }
+    let log = log.0.lock().unwrap();
+    assert!(log.len() > 2 * 10, "the stream should publish deltas");
+    log.iter().for_each(|&r| eat(u64::from(r)));
+    hash
+}
+
+#[test]
+fn streaming_matches_the_golden_fingerprint() {
+    // Pins the streaming RNG draws, the step order and the rows each
+    // cadence delta ships: a change to any of them shows up here.
+    assert_eq!(streaming_fingerprint(), 6317270830580397718);
 }
