@@ -18,7 +18,6 @@
 //! score by log-likelihood instead.
 
 pub mod crossmap;
-pub mod deepwalk;
 pub mod line_family;
 pub mod metapath;
 pub mod params;
@@ -27,7 +26,6 @@ pub mod topics;
 pub mod wrapper;
 
 pub use crossmap::{train_crossmap, CrossMapVariant};
-pub use deepwalk::{train_deepwalk, DeepWalkParams};
 pub use line_family::{train_line, LineVariant};
 pub use metapath::{train_metapath2vec, MetapathParams};
 pub use params::BaselineParams;

@@ -11,9 +11,9 @@ use actor_core::TrainedModel;
 use embed::{EmbeddingStore, NegativeSamplingUpdate, SgdParams};
 use mobility::Corpus;
 use rand::Rng;
-use stgraph::{ActivityGraph, AliasTable, EdgeType, NodeId, NodeType};
+use stgraph::{ActivityGraph, AliasTable, EdgeType, NegativeTable, NodeId, NodeType};
 
-use crate::line_family::placeholder_config;
+use crate::line_family::{flatten_edges, placeholder_config};
 use crate::params::BaselineParams;
 use crate::substrate::Substrate;
 use crate::wrapper::EmbeddingBaseline;
@@ -123,24 +123,8 @@ pub fn train_metapath2vec(
         .collect();
 
     // Negative table over all vertices by total weighted degree^{3/4}.
-    let mut deg = vec![0.0f64; space.len()];
-    for ty in EdgeType::ALL {
-        if let Some(te) = graph.edges(ty) {
-            for e in &te.edges {
-                deg[e.a.idx()] += e.weight;
-                deg[e.b.idx()] += e.weight;
-            }
-        }
-    }
-    let mut neg_nodes = Vec::new();
-    let mut neg_weights = Vec::new();
-    for (i, &d) in deg.iter().enumerate() {
-        if d > 0.0 {
-            neg_nodes.push(i);
-            neg_weights.push(d.powf(stgraph::sampler::NEGATIVE_POWER));
-        }
-    }
-    let neg_alias = AliasTable::new(&neg_weights).expect("graph has edges");
+    let noise = NegativeTable::over_edges(space.len(), &flatten_edges(graph))
+        .expect("graph has edges");
 
     let mut init_rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(params.seed);
     let store = EmbeddingStore::init(space.len(), params.dim, &mut init_rng);
@@ -191,7 +175,7 @@ pub fn train_metapath2vec(
                             continue;
                         }
                         upd.step(&store, center.idx(), context.idx(), rng, |r| {
-                            neg_nodes[neg_alias.sample(r)]
+                            noise.sample(r).idx()
                         });
                     }
                 }

@@ -10,17 +10,17 @@
 //! this bin cross-checks the cheap invariants (hotspot and edge counts)
 //! on every run.
 //!
-//! The full run asserts the ISSUE acceptance bar — ≥ 3× combined
+//! The full run asserts the acceptance bar — ≥ 3× combined
 //! detect+build speedup at 8 threads vs 1 — when the host actually has
 //! ≥ 8 cores (threads beyond the core count cannot speed anything up, so
 //! the bar is meaningless on smaller hosts and is reported but not
 //! enforced there).
 //!
-//! Run: `cargo run -p actor-bench --release --bin preprocess_scaling [-- --smoke]`
+//! Run: `cargo run -p actor-bench --release --bin preprocess_scaling [-- --fast]`
 
 use std::time::Instant;
 
-use benchkit::ObsScope;
+use benchkit::{Flags, ObsScope};
 use evalkit::report::Table;
 use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::synth::{generate, DatasetPreset};
@@ -29,35 +29,6 @@ use stgraph::{
     ActivityGraphBuilder, BuildOptions, EdgeSampler, EdgeType, MetaGraph, NegativeTable,
     UserGraph,
 };
-
-struct Args {
-    smoke: bool,
-    seed: u64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        seed: 20140801,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--seed" => {
-                args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown flag {other}; usage: [--smoke] [--seed N]");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 /// Cheap per-run invariants; the determinism suite holds the strong
 /// bit-identical contract, this keeps the bench honest about measuring
@@ -115,12 +86,12 @@ fn run_front_end(corpus: &Corpus, ids: &[RecordId]) -> (f64, Shape) {
 
 fn main() {
     let _obs = ObsScope::start("preprocess_scaling");
-    let args = parse_args();
-    let n_records = if args.smoke { 6_000 } else { 100_000 };
+    let flags = Flags::from_env();
+    let n_records = if flags.fast { 6_000 } else { 100_000 };
 
     // Utgeo2011 has mentions, so the user graph and all the UT/UL/UW
     // tables plus inter meta-graph counting are part of the measured work.
-    let mut cfg = DatasetPreset::Utgeo2011.config(args.seed);
+    let mut cfg = DatasetPreset::Utgeo2011.config(flags.seed);
     cfg.n_records = n_records;
     let t0 = Instant::now();
     let (corpus, _) = generate(cfg).expect("synthesize corpus");
@@ -128,7 +99,7 @@ fn main() {
     println!(
         "== preprocess_scaling: {} records{} (corpus built in {:.2}s) ==",
         corpus.len(),
-        if args.smoke { " (smoke)" } else { "" },
+        if flags.fast { " (fast)" } else { "" },
         t0.elapsed().as_secs_f64()
     );
 
@@ -173,17 +144,17 @@ fn main() {
 
     // Acceptance bar (full run on a big-enough host only): ≥ 3× combined
     // detect+build speedup at 8 threads vs 1.
-    if !args.smoke && cores >= 8 {
+    if !flags.fast && cores >= 8 {
         assert!(
             speedup_at_8 >= 3.0,
             "8-thread detect+build only {speedup_at_8:.2}x faster than 1 thread"
         );
         println!("preprocess_scaling: all assertions passed");
-    } else if !args.smoke {
+    } else if !flags.fast {
         println!(
             "speedup bar skipped: host has {cores} cores (< 8); measured {speedup_at_8:.2}x at 8 threads"
         );
     } else {
-        println!("preprocess_scaling (smoke): shape invariants passed");
+        println!("preprocess_scaling (fast): shape invariants passed");
     }
 }

@@ -10,47 +10,18 @@
 //!
 //! Both paths are timed at 0.1%, 1%, and 10% dirty fractions over a
 //! synthetic clustered model. The full run (12k nodes/modality) asserts
-//! the ISSUE acceptance bar: delta apply at ≤ 1% dirty is ≥ 10× faster
+//! the acceptance bar: delta apply at ≤ 1% dirty is ≥ 10× faster
 //! than a full rebuild.
 //!
-//! Run: `cargo run -p actor-bench --release --bin publish_latency [-- --smoke]`
+//! Run: `cargo run -p actor-bench --release --bin publish_latency [-- --fast]`
 
 use std::time::{Duration, Instant};
 
 use actor_core::{StoreDelta, TrainedModel};
-use benchkit::ObsScope;
+use benchkit::{Flags, ObsScope};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serve::snapshot::{IndexParams, Snapshot};
 use serve::testkit::synthetic_model;
-
-struct Args {
-    smoke: bool,
-    seed: u64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        seed: 20140801,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--seed" => {
-                args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown flag {other}; usage: [--smoke] [--seed N]");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 /// Drifts `rows` random center rows of `model` and returns the delta
 /// covering exactly those rows.
@@ -76,16 +47,16 @@ fn drift_rows(model: &mut TrainedModel, rows: usize, rng: &mut StdRng) -> StoreD
 
 fn main() {
     let _obs = ObsScope::start("publish_latency");
-    let args = parse_args();
-    let (n, dim, reps) = if args.smoke { (2_000, 32, 2) } else { (12_000, 64, 5) };
+    let flags = Flags::from_env();
+    let (n, dim, reps) = if flags.fast { (2_000, 32, 2) } else { (12_000, 64, 5) };
     println!(
         "== publish_latency: {n} nodes/modality, dim {dim}{} ==",
-        if args.smoke { " (smoke)" } else { "" }
+        if flags.fast { " (fast)" } else { "" }
     );
 
-    let mut rng = StdRng::seed_from_u64(args.seed);
+    let mut rng = StdRng::seed_from_u64(flags.seed);
     let t0 = Instant::now();
-    let mut model = synthetic_model(n, dim, args.seed);
+    let mut model = synthetic_model(n, dim, flags.seed);
     let total = model.space().len();
     println!("model built in {:.2}s ({total} nodes total)", t0.elapsed().as_secs_f64());
 
@@ -124,7 +95,7 @@ fn main() {
         );
         // Acceptance bar (full run only): ≤ 1% dirty must be ≥ 10× faster
         // than rebuilding from scratch.
-        if !args.smoke && fraction <= 0.01 {
+        if !flags.fast && fraction <= 0.01 {
             assert!(
                 speedup >= 10.0,
                 "delta apply at {:.1}% dirty only {speedup:.1}x faster than full rebuild",

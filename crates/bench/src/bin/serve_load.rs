@@ -10,10 +10,11 @@
 //!    latency percentiles (from the `serve.query.latency_us` obs
 //!    histogram), cache hit rate, and asserts zero query failures.
 //!
-//! Run: `cargo run -p actor-bench --release --bin serve_load [-- --smoke]`
+//! Run: `cargo run -p actor-bench --release --bin serve_load [-- --fast]`
+//! (also `--threads N` load workers, default 4, and `--seed N`).
 //!
-//! `--smoke` shrinks the corpus and duration for CI; the full run (~12k
-//! nodes per modality) additionally asserts the ISSUE acceptance bar:
+//! `--fast` shrinks the corpus and duration for CI; the full run (~12k
+//! nodes per modality) additionally asserts the acceptance bar:
 //! ANN ≥ 10× faster than exact at recall@10 ≥ 0.95.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,6 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use actor_core::TrainedModel;
+use benchkit::Flags;
 use mobility::GeoPoint;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serve::hnsw::SearchScratch;
@@ -28,47 +30,6 @@ use serve::snapshot::Snapshot;
 use serve::testkit::{probe_near, synthetic_model};
 use serve::{EngineParams, QueryEngine, QueryRequest};
 use stgraph::NodeType;
-
-struct Args {
-    smoke: bool,
-    threads: usize,
-    seed: u64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        threads: 4,
-        seed: 20140801,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t| t > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    })
-            }
-            "--seed" => {
-                args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown flag {other}; usage: [--smoke] [--threads N] [--seed N]");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 /// Phase 1: recall@10 and latency of ANN vs exact, per modality.
 fn index_benchmark(
@@ -141,12 +102,12 @@ fn load_benchmark(
     engine: Arc<QueryEngine>,
     model: &TrainedModel,
     n: usize,
-    args: &Args,
+    flags: &Flags,
     duration: Duration,
 ) {
     println!(
         "-- phase 2: {} workers, publisher swapping every 250 ms, {} ms --",
-        args.threads,
+        flags.threads,
         duration.as_millis()
     );
     let stop = Arc::new(AtomicBool::new(false));
@@ -155,10 +116,10 @@ fn load_benchmark(
 
     let answered: u64 = std::thread::scope(|s| {
         let mut workers = Vec::new();
-        for t in 0..args.threads as u64 {
+        for t in 0..flags.threads as u64 {
             let engine = engine.clone();
             let stop = stop.clone();
-            let seed = args.seed ^ (t + 1);
+            let seed = flags.seed ^ (t + 1);
             workers.push(s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut answered = 0u64;
@@ -228,19 +189,19 @@ fn load_benchmark(
 }
 
 fn main() {
-    let args = parse_args();
-    let (n, dim, probes, duration) = if args.smoke {
+    let flags = Flags::from_env();
+    let (n, dim, probes, duration) = if flags.fast {
         (2_500, 32, 50, Duration::from_millis(600))
     } else {
         (12_000, 64, 200, Duration::from_secs(3))
     };
     println!(
         "== serve_load: {n} nodes/modality, dim {dim}{} ==",
-        if args.smoke { " (smoke)" } else { "" }
+        if flags.fast { " (fast)" } else { "" }
     );
 
     let t0 = Instant::now();
-    let model = synthetic_model(n, dim, args.seed);
+    let model = synthetic_model(n, dim, flags.seed);
     println!("model built in {:.2}s", t0.elapsed().as_secs_f64());
     let t0 = Instant::now();
     let engine = Arc::new(QueryEngine::new(&model, EngineParams::default()));
@@ -254,8 +215,8 @@ fn main() {
     );
     assert!(snap.is_ann(NodeType::Word), "corpus must exceed ANN threshold");
 
-    index_benchmark(&model, &snap, n, probes, args.seed ^ 0xBEEF, !args.smoke);
+    index_benchmark(&model, &snap, n, probes, flags.seed ^ 0xBEEF, !flags.fast);
     drop(snap);
-    load_benchmark(engine, &model, n, &args, duration);
+    load_benchmark(engine, &model, n, &flags, duration);
     println!("serve_load: all assertions passed");
 }

@@ -2,22 +2,19 @@
 //!
 //! Used twice in this reproduction: to pre-train the user interaction
 //! graph (Algorithm 1, line 3) and as the LINE / LINE(U) baselines of
-//! Table 2. Works on any homogeneous weighted edge list; first-order
-//! preserves `σ(u_i·u_j)` over observed edges with a single vector set,
-//! second-order is the skip-gram-style center/context formulation.
+//! Table 2. Works on any homogeneous weighted edge list and preserves
+//! second-order proximity: the skip-gram-style center/context formulation.
 
 use rand::Rng;
 
 use crate::sgd::{NegativeSamplingUpdate, SgdParams};
 use crate::store::EmbeddingStore;
-use stgraph::AliasTable;
+use stgraph::{AliasTable, NegativeTable};
 
-/// Which proximity LINE preserves.
+/// Which proximity LINE preserves. Only second order is implemented; the
+/// type stays because the `perfbench` package names `LineOrder::Second`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineOrder {
-    /// First-order: vertices joined by strong edges embed nearby (one
-    /// vector set).
-    First,
     /// Second-order: vertices with similar neighborhoods embed nearby
     /// (center + context sets).
     Second,
@@ -34,7 +31,7 @@ pub struct LineParams {
     pub threads: usize,
     /// Per-step SGD parameters.
     pub sgd: SgdParams,
-    /// Proximity order.
+    /// Proximity order (second order is the only one).
     pub order: LineOrder,
     /// RNG seed.
     pub seed: u64,
@@ -74,8 +71,7 @@ pub struct LineTrainer {
     n_nodes: usize,
     edges: Vec<(u32, u32)>,
     edge_alias: AliasTable,
-    neg_nodes: Vec<u32>,
-    neg_alias: AliasTable,
+    noise: NegativeTable,
 }
 
 impl LineTrainer {
@@ -84,27 +80,12 @@ impl LineTrainer {
     pub fn new(n_nodes: usize, edges: &[(u32, u32, f64)]) -> Option<Self> {
         let weights: Vec<f64> = edges.iter().map(|&(_, _, w)| w).collect();
         let edge_alias = AliasTable::new(&weights)?;
-        // Degree^{3/4} noise over vertices with positive degree.
-        let mut degree = vec![0.0f64; n_nodes];
-        for &(a, b, w) in edges {
-            degree[a as usize] += w;
-            degree[b as usize] += w;
-        }
-        let mut neg_nodes = Vec::new();
-        let mut neg_weights = Vec::new();
-        for (i, &d) in degree.iter().enumerate() {
-            if d > 0.0 {
-                neg_nodes.push(i as u32);
-                neg_weights.push(d.powf(stgraph::sampler::NEGATIVE_POWER));
-            }
-        }
-        let neg_alias = AliasTable::new(&neg_weights)?;
+        let noise = NegativeTable::over_edges(n_nodes, edges)?;
         Some(Self {
             n_nodes,
             edges: edges.iter().map(|&(a, b, _)| (a, b)).collect(),
             edge_alias,
-            neg_nodes,
-            neg_alias,
+            noise,
         })
     }
 
@@ -113,26 +94,11 @@ impl LineTrainer {
         self.n_nodes
     }
 
-    /// Trains and returns the embedding store.
-    ///
-    /// For [`LineOrder::First`] only the `centers` matrix is meaningful;
-    /// for [`LineOrder::Second`] centers are the vertex embeddings and
-    /// contexts the context vectors, as in the paper.
+    /// Trains and returns the embedding store: centers are the vertex
+    /// embeddings and contexts the context vectors, as in the paper.
     pub fn train(&self, params: LineParams) -> EmbeddingStore {
         let mut init_rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(params.seed);
-        let mut store = EmbeddingStore::init(self.n_nodes, params.dim, &mut init_rng);
-        if params.order == LineOrder::First {
-            // First-order shares one vector set; start contexts equal to
-            // centers so σ(x_i·x_j) sees the same parameters on both sides.
-            store.contexts = store.centers.clone();
-        }
-        self.train_into(&store, params);
-        store
-    }
-
-    /// Trains into an existing store (used by the scalability bench to
-    /// reuse allocations and by ACTOR's pre-initialized stores).
-    pub fn train_into(&self, store: &EmbeddingStore, params: LineParams) {
+        let store = EmbeddingStore::init(self.n_nodes, params.dim, &mut init_rng);
         let _span = obs::span!("embed.line.train");
         let samples_done = obs::counter("embed.line.samples");
         par::run_seeded(params.threads, params.samples, params.seed, |rng, n| {
@@ -155,27 +121,13 @@ impl LineTrainer {
                 if rng.random::<bool>() {
                     std::mem::swap(&mut a, &mut b);
                 }
-                match params.order {
-                    LineOrder::Second => {
-                        upd.step(store, a as usize, b as usize, rng, |r| {
-                            self.neg_nodes[self.neg_alias.sample(r)] as usize
-                        });
-                    }
-                    LineOrder::First => {
-                        // Same update with tied parameters: mirror the
-                        // context step onto the center matrix afterwards
-                        // is approximated by also training (b → a).
-                        upd.step(store, a as usize, b as usize, rng, |r| {
-                            self.neg_nodes[self.neg_alias.sample(r)] as usize
-                        });
-                        upd.step(store, b as usize, a as usize, rng, |r| {
-                            self.neg_nodes[self.neg_alias.sample(r)] as usize
-                        });
-                    }
-                }
+                upd.step(&store, a as usize, b as usize, rng, |r| {
+                    self.noise.sample(r).idx()
+                });
             }
             samples_done.add(n - flushed);
         });
+        store
     }
 }
 
@@ -198,7 +150,7 @@ mod tests {
         edges
     }
 
-    fn params(order: LineOrder) -> LineParams {
+    fn params() -> LineParams {
         LineParams {
             dim: 16,
             samples: 120_000,
@@ -208,7 +160,7 @@ mod tests {
                 negatives: 3,
                 grad_clip: 0.0,
             },
-            order,
+            order: LineOrder::Second,
             seed: 42,
         }
     }
@@ -216,22 +168,11 @@ mod tests {
     #[test]
     fn second_order_separates_cliques() {
         let t = LineTrainer::new(8, &two_cliques()).unwrap();
-        let mut p = params(LineOrder::Second);
+        let mut p = params();
         p.samples = 400_000;
         let store = t.train(p);
         let intra = cosine(store.centers.row(0), store.centers.row(1));
         let inter = cosine(store.centers.row(0), store.centers.row(5));
-        assert!(intra > inter + 0.1, "intra {intra} inter {inter}");
-    }
-
-    #[test]
-    fn first_order_separates_cliques() {
-        let t = LineTrainer::new(8, &two_cliques()).unwrap();
-        let mut p = params(LineOrder::First);
-        p.samples = 300_000;
-        let store = t.train(p);
-        let intra = cosine(store.centers.row(0), store.centers.row(2));
-        let inter = cosine(store.centers.row(1), store.centers.row(6));
         assert!(intra > inter + 0.1, "intra {intra} inter {inter}");
     }
 
@@ -244,7 +185,7 @@ mod tests {
     #[test]
     fn multithreaded_training_still_learns() {
         let t = LineTrainer::new(8, &two_cliques()).unwrap();
-        let mut p = params(LineOrder::Second);
+        let mut p = params();
         p.threads = 4;
         let store = t.train(p);
         let intra = cosine(store.centers.row(0), store.centers.row(1));
@@ -255,8 +196,8 @@ mod tests {
     #[test]
     fn single_thread_training_is_deterministic() {
         let t = LineTrainer::new(8, &two_cliques()).unwrap();
-        let a = t.train(params(LineOrder::Second));
-        let b = t.train(params(LineOrder::Second));
+        let a = t.train(params());
+        let b = t.train(params());
         assert_eq!(a.centers.row(3), b.centers.row(3));
     }
 }

@@ -8,7 +8,6 @@
 //!
 //! This crate implements:
 //!
-//! * the Epanechnikov and Gaussian kernels and KDE ([`kernel`], [`kde`]),
 //! * mean-shift over pluggable metric spaces ([`meanshift`], [`space`]) —
 //!   planar 2-D for locations, circular 1-D for time of day (prefix-sum
 //!   window means, O(log n) per step),
@@ -19,11 +18,8 @@
 
 pub mod detect;
 pub mod grid;
-pub mod kde;
-pub mod kernel;
 pub mod meanshift;
 pub mod space;
 
 pub use detect::{SpatialHotspotId, SpatialHotspots, TemporalHotspotId, TemporalHotspots};
-pub use kernel::Kernel;
 pub use meanshift::{MeanShift, MeanShiftParams};

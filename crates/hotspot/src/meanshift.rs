@@ -40,35 +40,6 @@ impl MeanShiftParams {
             max_seeds: 4096,
         }
     }
-
-    /// Bandwidth from Silverman's rule of thumb,
-    /// `h = 1.06 · σ · n^(−1/(d+4))`, where σ is the mean per-dimension
-    /// standard deviation of the `d`-dimensional sample (given here as
-    /// column slices). A data-driven default when no domain bandwidth is
-    /// known; mean-shift practitioners often shrink it (the rule targets
-    /// density smoothing, not mode seeking), which `scale` supports.
-    pub fn silverman(columns: &[&[f64]], scale: f64) -> Self {
-        assert!(!columns.is_empty(), "need at least one dimension");
-        let n = columns[0].len();
-        assert!(n > 1, "need at least two points");
-        assert!(
-            columns.iter().all(|c| c.len() == n),
-            "columns must share a length"
-        );
-        assert!(scale > 0.0);
-        let d = columns.len() as f64;
-        let mean_sd = columns
-            .iter()
-            .map(|col| {
-                let mean = col.iter().sum::<f64>() / n as f64;
-                (col.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64)
-                    .sqrt()
-            })
-            .sum::<f64>()
-            / d;
-        let h = 1.06 * mean_sd * (n as f64).powf(-1.0 / (d + 4.0)) * scale;
-        Self::with_bandwidth(h.max(f64::MIN_POSITIVE))
-    }
 }
 
 /// A detected density mode.
@@ -98,18 +69,11 @@ impl<S: Space> MeanShift<S> {
         &self.params
     }
 
-    /// Shifts `start` to its density mode. `window_mean(q)` must return
-    /// the mean of all data points within `params.bandwidth` of `q`, or
-    /// `None` if there are none.
-    pub fn seek_mode<F>(&self, start: S::Point, window_mean: &F) -> S::Point
-    where
-        F: Fn(S::Point) -> Option<S::Point>,
-    {
-        self.seek_mode_iters(start, window_mean).0
-    }
-
-    /// [`MeanShift::seek_mode`] plus the number of shift iterations spent,
-    /// so `run` can feed the convergence histogram without a second pass.
+    /// Shifts `start` to its density mode and returns it with the number
+    /// of shift iterations spent, so `run` can feed the convergence
+    /// histogram without a second pass. `window_mean(q)` must return the
+    /// mean of all data points within `params.bandwidth` of `q`, or `None`
+    /// if there are none.
     fn seek_mode_iters<F>(&self, start: S::Point, window_mean: &F) -> (S::Point, u64)
     where
         F: Fn(S::Point) -> Option<S::Point>,
@@ -254,7 +218,8 @@ mod tests {
         let data = vec![GeoPoint::new(5.0, 5.0)];
         let ms = MeanShift::new(Planar2D, MeanShiftParams::with_bandwidth(0.1));
         // Window-mean fn that never finds anything within range of the seed.
-        let mode = ms.seek_mode(GeoPoint::new(0.0, 0.0), &planar_window_mean(data, 0.1));
+        let window_mean = planar_window_mean(data, 0.1);
+        let (mode, _) = ms.seek_mode_iters(GeoPoint::new(0.0, 0.0), &window_mean);
         assert_eq!(mode, GeoPoint::new(0.0, 0.0));
     }
 
@@ -297,49 +262,5 @@ mod tests {
     #[should_panic]
     fn params_reject_bad_bandwidth() {
         MeanShiftParams::with_bandwidth(-1.0);
-    }
-
-    #[test]
-    fn silverman_tracks_spread_and_sample_size() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let tight: Vec<f64> = (0..500).map(|_| normal(&mut rng, 0.0, 0.01)).collect();
-        let wide: Vec<f64> = (0..500).map(|_| normal(&mut rng, 0.0, 0.1)).collect();
-        let h_tight = MeanShiftParams::silverman(&[&tight], 1.0).bandwidth;
-        let h_wide = MeanShiftParams::silverman(&[&wide], 1.0).bandwidth;
-        assert!(h_wide > 5.0 * h_tight, "{h_tight} vs {h_wide}");
-        // More data → smaller bandwidth.
-        let h_small_n = MeanShiftParams::silverman(&[&wide[..50]], 1.0).bandwidth;
-        assert!(h_small_n > h_wide);
-        // Scale multiplies through.
-        let h_half = MeanShiftParams::silverman(&[&wide], 0.5).bandwidth;
-        assert!((h_half - 0.5 * h_wide).abs() < 1e-12);
-    }
-
-    #[test]
-    fn silverman_detects_planted_clusters_end_to_end() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut pts = Vec::new();
-        for c in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)] {
-            for _ in 0..200 {
-                pts.push(GeoPoint::new(
-                    normal(&mut rng, c.0, 0.03),
-                    normal(&mut rng, c.1, 0.03),
-                ));
-            }
-        }
-        let lats: Vec<f64> = pts.iter().map(|p| p.lat).collect();
-        let lons: Vec<f64> = pts.iter().map(|p| p.lon).collect();
-        // The raw rule oversmooths multi-modal data; the customary 0.3-0.5
-        // shrink finds the modes.
-        let params = MeanShiftParams::silverman(&[&lats, &lons], 0.3);
-        let ms = MeanShift::new(Planar2D, params);
-        let modes = ms.run(&pts.clone(), planar_window_mean(pts, params.bandwidth));
-        assert_eq!(modes.len(), 3, "{modes:?}");
-    }
-
-    #[test]
-    #[should_panic]
-    fn silverman_rejects_single_point() {
-        MeanShiftParams::silverman(&[&[1.0]], 1.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Corpus container and aggregate statistics.
 
 use crate::error::MobilityError;
-use crate::types::{Record, RecordId, UserId};
+use crate::types::{Record, RecordId};
 use crate::vocab::Vocabulary;
 
 /// A validated corpus of mobile-data records plus its vocabulary.
@@ -124,11 +124,6 @@ impl Corpus {
             mention_edges,
         }
     }
-
-    /// Records authored by `user`, in id order.
-    pub fn records_of_user(&self, user: UserId) -> impl Iterator<Item = &Record> + '_ {
-        self.records.iter().filter(move |r| r.user == user)
-    }
 }
 
 /// Aggregate corpus statistics.
@@ -162,7 +157,7 @@ impl CorpusStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{GeoPoint, KeywordId, Record, RecordId};
+    use crate::types::{GeoPoint, KeywordId, UserId};
 
     fn record(user: u32, kws: &[u32], mentions: &[u32]) -> Record {
         Record {
@@ -240,18 +235,5 @@ mod tests {
         assert_eq!(s.mention_records, 2);
         assert_eq!(s.mention_edges, 3);
         assert!((s.mention_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn records_of_user_filters() {
-        let c = Corpus::new(
-            "t",
-            vec![record(0, &[0], &[]), record(1, &[0], &[]), record(0, &[0], &[])],
-            vocab(1),
-            2,
-        )
-        .unwrap();
-        assert_eq!(c.records_of_user(UserId(0)).count(), 2);
-        assert_eq!(c.records_of_user(UserId(1)).count(), 1);
     }
 }

@@ -247,26 +247,6 @@ impl World {
             comm.activities[comm.activity_dist.sample(rng)]
         }
     }
-
-    /// The activity with the cluster center closest to `p` (ground-truth
-    /// helper for tests and case studies).
-    pub fn nearest_activity(&self, p: GeoPoint) -> usize {
-        let min_cluster_d2 = |a: &Activity| {
-            a.clusters
-                .iter()
-                .map(|c| c.dist2(&p))
-                .fold(f64::INFINITY, f64::min)
-        };
-        self.activities
-            .iter()
-            .min_by(|a, b| {
-                min_cluster_d2(a)
-                    .partial_cmp(&min_cluster_d2(b))
-                    .expect("distances are finite")
-            })
-            .expect("at least one activity")
-            .id
-    }
 }
 
 #[cfg(test)]
@@ -363,28 +343,6 @@ mod tests {
             .filter(|_| w.sample_activity_for_user(user, &mut rng) == fav)
             .count();
         assert!(hits as f64 / n as f64 > 0.7, "hits {hits}");
-    }
-
-    #[test]
-    fn nearest_activity_recovers_centers() {
-        let w = world();
-        for a in &w.activities {
-            // The anchor cluster of each activity maps back to it unless
-            // another activity planted a random branch closer; the anchor
-            // itself is always a valid nearest candidate.
-            let found = w.nearest_activity(a.center());
-            let d_self: f64 = a
-                .clusters
-                .iter()
-                .map(|c| c.dist2(&a.center()))
-                .fold(f64::INFINITY, f64::min);
-            let d_found: f64 = w.activities[found]
-                .clusters
-                .iter()
-                .map(|c| c.dist2(&a.center()))
-                .fold(f64::INFINITY, f64::min);
-            assert!(d_found <= d_self);
-        }
     }
 
     #[test]

@@ -97,16 +97,6 @@ impl GeoPoint {
     pub fn dist(&self, other: &GeoPoint) -> f64 {
         self.dist2(other).sqrt()
     }
-
-    /// Approximate distance in kilometres, using 111.32 km per degree of
-    /// latitude and the cosine correction for longitude at this latitude.
-    pub fn dist_km(&self, other: &GeoPoint) -> f64 {
-        const KM_PER_DEG: f64 = 111.32;
-        let mean_lat = 0.5 * (self.lat + other.lat);
-        let dlat = (self.lat - other.lat) * KM_PER_DEG;
-        let dlon = (self.lon - other.lon) * KM_PER_DEG * mean_lat.to_radians().cos();
-        (dlat * dlat + dlon * dlon).sqrt()
-    }
 }
 
 /// The second-of-day (0..86400) of a timestamp, for circular temporal
@@ -114,13 +104,6 @@ impl GeoPoint {
 #[inline]
 pub fn second_of_day(t: Timestamp) -> f64 {
     (t.rem_euclid(SECONDS_PER_DAY)) as f64
-}
-
-/// The second-of-week (0..604800) of a timestamp, for weekly-period
-/// temporal hotspot detection.
-#[inline]
-pub fn second_of_week(t: Timestamp) -> f64 {
-    (t.rem_euclid(SECONDS_PER_WEEK)) as f64
 }
 
 /// Day of week of a timestamp, `0 = Monday .. 6 = Sunday`
@@ -201,15 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn km_distance_is_plausible_for_la() {
-        // Downtown LA to the port of LA is roughly 35 km.
-        let downtown = GeoPoint::new(34.0522, -118.2437);
-        let port = GeoPoint::new(33.7395, -118.2599);
-        let km = downtown.dist_km(&port);
-        assert!((30.0..40.0).contains(&km), "got {km}");
-    }
-
-    #[test]
     fn day_of_week_matches_known_dates() {
         // 1970-01-01 was a Thursday (index 3 with Monday = 0).
         assert_eq!(day_of_week(0), 3);
@@ -221,12 +195,6 @@ mod tests {
         assert_eq!(day_of_week(1_406_851_200), 4);
         // Negative timestamps wrap consistently.
         assert_eq!(day_of_week(-SECONDS_PER_DAY), 2); // Wednesday
-    }
-
-    #[test]
-    fn second_of_week_wraps() {
-        assert_eq!(second_of_week(0), 0.0);
-        assert_eq!(second_of_week(SECONDS_PER_WEEK + 7), 7.0);
     }
 
     #[test]

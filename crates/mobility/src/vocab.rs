@@ -113,19 +113,6 @@ impl Vocabulary {
             .enumerate()
             .map(|(i, (w, &c))| (KeywordId::from(i), w.as_str(), c))
     }
-
-    /// The `top` most frequent keywords, ties broken by id.
-    pub fn most_frequent(&self, top: usize) -> Vec<(KeywordId, u64)> {
-        let mut pairs: Vec<(KeywordId, u64)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (KeywordId::from(i), c))
-            .collect();
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        pairs.truncate(top);
-        pairs
-    }
 }
 
 #[cfg(test)]
@@ -160,21 +147,6 @@ mod tests {
         assert_eq!(v.get("unknown"), None);
         // get must not create entries.
         assert_eq!(v.len(), 1);
-    }
-
-    #[test]
-    fn most_frequent_orders_by_count_then_id() {
-        let mut v = Vocabulary::new();
-        let a = v.intern("alpha").unwrap();
-        let b = v.intern("bravo").unwrap();
-        v.intern("bravo").unwrap();
-        let c = v.intern("charlie").unwrap();
-        let top = v.most_frequent(3);
-        assert_eq!(top[0].0, b);
-        assert_eq!(top[0].1, 2);
-        // alpha and charlie tie at 1; lower id first.
-        assert_eq!(top[1].0, a);
-        assert_eq!(top[2].0, c);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //!
 //! * **Preprocessing** — hotspot detection, co-occurrence counting,
 //!   alias/negative-table construction, meta-graph instance counting —
-//!   through the combinators [`par_map_chunks`], [`par_map`],
-//!   [`par_for_shards`] and [`par_accumulate`], with the worker count from
-//!   [`threads`].
+//!   through the combinators [`par_map_chunks`], [`par_map`] and
+//!   [`par_accumulate`], with the worker count from [`threads`].
 //! * **SGD training** — the ACTOR trainer, LINE and the walk/edge
 //!   baselines — through [`run_seeded`], which splits a sample budget
 //!   over an explicit thread count and hands each shard its own seeded
@@ -245,16 +244,6 @@ where
     .collect()
 }
 
-/// Runs `f(shard_index, range)` for each shard of `0..len` concurrently,
-/// for side-effecting work over disjoint index ranges (e.g. filling
-/// disjoint slices of a pre-allocated buffer).
-pub fn par_for_shards<F>(len: usize, f: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    run_sharded(len, threads(), f);
-}
-
 /// Sharded accumulate-then-merge reduction: each shard folds its items
 /// into a fresh accumulator from `init`, then the per-shard accumulators
 /// are merged **in shard order** on the calling thread.
@@ -291,7 +280,6 @@ where
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn shards_cover_and_balance() {
@@ -367,18 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn par_for_shards_covers_every_index_once() {
-        let _guard = override_threads(4);
-        let hits: Vec<AtomicU64> = (0..50).map(|_| AtomicU64::new(0)).collect();
-        par_for_shards(50, |_, range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn par_accumulate_merges_in_shard_order() {
         let items: Vec<u64> = (0..1000).collect();
         let count = |n_threads: usize| -> HashMap<u64, f64> {
@@ -405,7 +381,8 @@ mod tests {
         let empty: [u8; 0] = [];
         assert!(par_map_chunks(&empty, |_, c: &[u8]| c.len()).is_empty());
         assert!(par_map(&empty, |_, &x| x).is_empty());
-        par_for_shards(0, |_, _| panic!("must not run"));
+        let none: Vec<()> = par_map_chunks(&empty, |_, _| panic!("must not run"));
+        assert!(none.is_empty());
         let acc = par_accumulate(&empty, || 7u32, |_, _, _| {}, |a, b| *a += b);
         assert_eq!(acc, 7);
     }
@@ -474,7 +451,7 @@ mod tests {
         for failing in [0, 2] {
             let msg = panic_message(std::panic::catch_unwind(|| {
                 let _guard = override_threads(4);
-                par_for_shards(100, |s, _| {
+                par_map_chunks(&[0u8; 100], |s, _| {
                     if s == failing {
                         panic!("shard data corrupt");
                     }
@@ -496,7 +473,7 @@ mod tests {
         let barrier = Barrier::new(2);
         let msg = panic_message(std::panic::catch_unwind(|| {
             let _guard = override_threads(4);
-            par_for_shards(100, |s, _| {
+            par_map_chunks(&[0u8; 100], |s, _| {
                 if s == 1 || s == 3 {
                     barrier.wait();
                     panic!("shard {s} corrupt");

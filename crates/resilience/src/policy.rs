@@ -47,11 +47,6 @@ impl CheckpointPolicy {
         }
     }
 
-    /// Whether any cadence is configured.
-    pub fn is_enabled(&self) -> bool {
-        self.every_epochs > 0 || self.every_samples > 0
-    }
-
     /// The effective snapshot interval in epochs, given how many weighted
     /// samples one epoch performs. `None` when disabled.
     pub fn interval_epochs(&self, samples_per_epoch: u64) -> Option<usize> {
@@ -87,7 +82,6 @@ mod tests {
     #[test]
     fn disabled_has_no_interval() {
         assert_eq!(CheckpointPolicy::disabled().interval_epochs(1000), None);
-        assert!(!CheckpointPolicy::disabled().is_enabled());
     }
 
     #[test]

@@ -23,14 +23,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (divergence fails immediately).
-    pub fn none() -> Self {
-        Self {
-            max_retries: 0,
-            ..Self::default()
-        }
-    }
-
     /// The learning-rate scale for retry number `attempt` (1-based), or
     /// `None` once the budget is exhausted.
     pub fn scale_for_attempt(&self, attempt: u32) -> Option<f32> {
@@ -68,6 +60,10 @@ mod tests {
 
     #[test]
     fn none_never_retries() {
-        assert_eq!(RetryPolicy::none().scale_for_attempt(1), None);
+        let none = RetryPolicy {
+            max_retries: 0,
+            ..Default::default()
+        };
+        assert_eq!(none.scale_for_attempt(1), None);
     }
 }

@@ -33,7 +33,8 @@ use crate::swap::SnapshotCell;
 pub struct EngineParams {
     /// Index-build policy for published snapshots.
     pub index: IndexParams,
-    /// Total query-cache entries (0 disables caching).
+    /// Total query-cache entries. The cache keeps at least one entry per
+    /// shard, so `0` gives a one-entry-per-shard cache, not no cache.
     pub cache_capacity: usize,
     /// Cache shard count (lock granularity).
     pub cache_shards: usize,
@@ -88,7 +89,7 @@ impl QueryEngine {
         let first = Arc::new(Snapshot::build(model, &params.index, 1));
         Self {
             cell: SnapshotCell::new(first),
-            cache: QueryCache::new(params.cache_capacity.max(1), params.cache_shards),
+            cache: QueryCache::new(params.cache_capacity, params.cache_shards),
             params,
             next_epoch: AtomicU64::new(2),
             publishes: AtomicU64::new(0),
@@ -375,6 +376,19 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.queries, 2);
+    }
+
+    #[test]
+    fn zero_capacity_still_caches_one_entry_per_shard() {
+        let params = EngineParams {
+            cache_capacity: 0,
+            cache_shards: 1,
+            ..EngineParams::default()
+        };
+        let engine = QueryEngine::new(&model(), params);
+        let req = QueryRequest::temporal(20.0 * 3600.0, 4);
+        assert!(!engine.query(&req).unwrap().from_cache);
+        assert!(engine.query(&req).unwrap().from_cache);
     }
 
     #[test]

@@ -76,15 +76,6 @@ impl ActivityGraph {
         self.per_type[idx].as_ref()
     }
 
-    /// Edge types with at least one edge.
-    pub fn present_types(&self) -> Vec<EdgeType> {
-        EdgeType::ALL
-            .iter()
-            .copied()
-            .filter(|&t| self.edges(t).is_some())
-            .collect()
-    }
-
     /// Total number of vertices (|V| of Table 1).
     pub fn n_nodes(&self) -> usize {
         self.space.len()
@@ -198,8 +189,12 @@ mod tests {
         assert_eq!(g.n_edges(), 4);
         assert!(g.edges(EdgeType::TL).is_some());
         assert!(g.edges(EdgeType::LW).is_none());
+        let present: Vec<EdgeType> = EdgeType::ALL
+            .into_iter()
+            .filter(|&t| g.edges(t).is_some())
+            .collect();
         assert_eq!(
-            g.present_types(),
+            present,
             vec![EdgeType::TL, EdgeType::WW, EdgeType::UT, EdgeType::UW]
         );
     }

@@ -55,7 +55,8 @@ impl EdgeSampler {
     }
 }
 
-/// Negative-sample table for one (edge type, context side).
+/// Negative-sample table for one (edge type, context side), or for a
+/// whole homogeneous graph ([`NegativeTable::over_edges`]).
 ///
 /// Implements `P(v) ∝ d_v^{3/4}` over the nodes that appear on the context
 /// side of the edge type. The paper prints `d_v^4`; the ¾ power is the
@@ -95,6 +96,28 @@ impl NegativeTable {
             if d > 0.0 {
                 nodes.push(node);
                 weights.push(d.powf(power));
+            }
+        }
+        let alias = AliasTable::new(&weights)?;
+        Some(Self { nodes, alias })
+    }
+
+    /// Builds a table over every vertex of a homogeneous weighted edge
+    /// list, weighted by its degree (summed in edge order) raised to
+    /// [`NEGATIVE_POWER`]. This is LINE's and metapath2vec's noise, which
+    /// ignores vertex types. `None` when no vertex has positive degree.
+    pub fn over_edges(n_nodes: usize, edges: &[(u32, u32, f64)]) -> Option<Self> {
+        let mut degree = vec![0.0f64; n_nodes];
+        for &(a, b, w) in edges {
+            degree[a as usize] += w;
+            degree[b as usize] += w;
+        }
+        let mut nodes = Vec::new();
+        let mut weights = Vec::new();
+        for (i, &d) in degree.iter().enumerate() {
+            if d > 0.0 {
+                nodes.push(NodeId(i as u32));
+                weights.push(d.powf(NEGATIVE_POWER));
             }
         }
         let alias = AliasTable::new(&weights)?;
@@ -207,5 +230,12 @@ mod tests {
         let f = heavy as f64 / n as f64;
         let expected = 9f64.powf(0.75) / (9f64.powf(0.75) + 1.0);
         assert!((f - expected).abs() < 0.01, "{f} vs {expected}");
+    }
+
+    #[test]
+    fn edge_list_table_skips_vertices_without_degree() {
+        let t = NegativeTable::over_edges(4, &[(0, 2, 1.0), (2, 3, 0.0)]).unwrap();
+        assert_eq!(t.nodes(), &[NodeId(0), NodeId(2)]);
+        assert!(NegativeTable::over_edges(2, &[(0, 1, 0.0)]).is_none());
     }
 }

@@ -21,14 +21,14 @@ cargo run -q --release --example train_save_load
 
 echo "== serving conformance + load smoke =="
 cargo test -q -p actor-serve --test conformance
-cargo run -q -p actor-bench --release --bin serve_load -- --smoke
+cargo run -q -p actor-bench --release --bin serve_load -- --fast
 
 echo "== publish latency smoke (full rebuild vs delta apply) =="
-cargo run -q -p actor-bench --release --bin publish_latency -- --smoke
+cargo run -q -p actor-bench --release --bin publish_latency -- --fast
 
 echo "== parallel preprocessing: determinism suite + scaling smoke =="
 cargo test -q --test parallel_determinism
-cargo run -q -p actor-bench --release --bin preprocess_scaling -- --smoke
+cargo run -q -p actor-bench --release --bin preprocess_scaling -- --fast
 
 echo "== benchmark package (its own workspace; builds against the crates' public API) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

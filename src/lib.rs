@@ -34,7 +34,7 @@
 //! | Module | Contents |
 //! |--------|----------|
 //! | [`mobility`] | records, corpora, vocabulary, the synthetic generator |
-//! | [`hotspot`] | KDE + mean-shift spatial/temporal hotspot detection |
+//! | [`hotspot`] | mean-shift spatial/temporal hotspot detection |
 //! | [`stgraph`] | activity graph, user graph, alias sampling, meta-graphs |
 //! | [`embed`] | negative-sampling SGD, Hogwild, LINE |
 //! | [`core`] | the ACTOR pipeline, model, and ablation variants |

@@ -4,6 +4,7 @@ use actor_st::baselines::{
     train_crossmap, train_lgta, train_line, train_metapath2vec, train_mgtm, BaselineParams,
     CrossMapVariant, LgtaParams, LineVariant, MetapathParams, MgtmParams, Substrate,
 };
+use actor_st::embed::EmbeddingStore;
 use actor_st::prelude::*;
 
 fn zoo(seed: u64) -> (Corpus, CorpusSplit, Vec<Box<dyn CrossModalModel>>) {
@@ -133,4 +134,46 @@ fn method_names_match_table2_rows() {
             "ACTOR"
         ]
     );
+}
+
+/// FNV-1a over the raw bits of every center and context row.
+fn store_fingerprint(store: &EmbeddingStore) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for matrix in [&store.centers, &store.contexts] {
+        for i in 0..matrix.n_rows() {
+            for x in matrix.row(i) {
+                for byte in x.to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+    }
+    hash
+}
+
+/// A small fixed-seed substrate and `threads = 1` baseline parameters, so
+/// every SGD update lands in one deterministic order.
+fn golden_substrate() -> (Corpus, Substrate, BaselineParams) {
+    let (corpus, _) = generate(DatasetPreset::Foursquare.small_config(20140801)).unwrap();
+    let split = CorpusSplit::new(&corpus, SplitSpec::default()).unwrap();
+    let substrate = Substrate::build(&corpus, &split.train, &ActorConfig::fast());
+    let params = BaselineParams {
+        threads: 1,
+        ..BaselineParams::fast()
+    };
+    (corpus, substrate, params)
+}
+
+#[test]
+fn line_matches_the_golden_fingerprint() {
+    let (corpus, substrate, params) = golden_substrate();
+    let line = train_line(&corpus, &substrate, LineVariant::Plain, &params);
+    assert_eq!(store_fingerprint(line.model().store()), 8957262254395996153);
+}
+
+#[test]
+fn metapath2vec_matches_the_golden_fingerprint() {
+    let (corpus, substrate, params) = golden_substrate();
+    let mp = train_metapath2vec(&corpus, &substrate, &MetapathParams::default(), &params);
+    assert_eq!(store_fingerprint(mp.model().store()), 6156511567175481678);
 }
