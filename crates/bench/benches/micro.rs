@@ -5,6 +5,9 @@
 //! * alias-table build and draw,
 //! * the dot-product kernel and one negative-sampling SGD step (scalar
 //!   in `d`), unclipped and with the ACTOR fit's clipping,
+//! * the serving kernel `dot_unit`, and one HNSW graph build and top-10
+//!   search at the size of one modality of the serving benchmark's model
+//!   (3000 clustered unit vectors of width 64),
 //! * spatial and temporal hotspot detection (mean-shift), the temporal one
 //!   at 3k and at the benchmark's 30k records,
 //! * activity-graph construction.
@@ -18,6 +21,8 @@ use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::synth::{generate, DatasetPreset};
 use mobility::GeoPoint;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use serve::hnsw::{HnswIndex, HnswParams, SearchScratch, VectorSource};
+use serve::testkit::clustered_unit_vectors;
 use stgraph::{ActivityGraphBuilder, AliasTable, BuildOptions};
 
 fn bench_alias(c: &mut Criterion) {
@@ -50,6 +55,40 @@ fn bench_dot(c: &mut Criterion) {
             bch.iter(|| embed::math::dot(black_box(&a), black_box(&b)))
         });
     }
+    group.finish();
+}
+
+fn bench_dot_unit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("math/dot_unit");
+    for dim in [64usize, 128] {
+        let mut rng = StdRng::seed_from_u64(6);
+        let a: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let b: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |bch, _| {
+            bch.iter(|| embed::math::dot_unit(black_box(&a), black_box(&b)))
+        });
+    }
+    group.finish();
+}
+
+fn bench_hnsw(c: &mut Criterion) {
+    let (n, dim) = (3000usize, 64);
+    let vecs = clustered_unit_vectors(n, dim, 64, 7);
+    let mut group = c.benchmark_group("hnsw");
+    group.sample_size(5);
+    group.bench_function("build_3k_d64", |b| {
+        b.iter(|| HnswIndex::build(black_box(&vecs), HnswParams::default()))
+    });
+    let index = HnswIndex::build(&vecs, HnswParams::default());
+    group.sample_size(20);
+    group.bench_function("search_3k_d64_k10", |b| {
+        let mut scratch = SearchScratch::new();
+        let mut probe = 0u32;
+        b.iter(|| {
+            probe = (probe + 37) % n as u32;
+            index.search(&vecs, black_box(vecs.vector(probe)), 10, None, &mut scratch)
+        })
+    });
     group.finish();
 }
 
@@ -144,8 +183,10 @@ criterion_group!(
     benches,
     bench_alias,
     bench_dot,
+    bench_dot_unit,
     bench_sgd_step,
     bench_meanshift,
-    bench_graph_build
+    bench_graph_build,
+    bench_hnsw
 );
 criterion_main!(benches);

@@ -118,17 +118,55 @@ pub fn normalize_into(src: &[f32], dst: &mut [f32]) {
     }
 }
 
+/// Independent accumulators in [`dot_unit`].
+const DOT_UNIT_LANES: usize = 8;
+
 /// Dot product widened to f64 — on unit vectors this *is* the cosine
 /// similarity, without the two norms [`cosine`] recomputes per call.
 /// Callers must pre-normalize both sides (see [`normalize_into`]).
+///
+/// This is the ranking kernel of serving: every HNSW build step, HNSW
+/// search and exact scan runs on it. Like [`dot`], it runs independent
+/// chains instead of one, in an order fixed by the source:
+///
+/// * element `i` of the leading `8·⌊n/8⌋` goes to lane `i mod 8`,
+///   summed in index order;
+/// * the remaining `n mod 8` elements go to one serial tail sum;
+/// * the lanes reduce pairwise (lane `j` += lane `j + 4`, then `+ 2`,
+///   `+ 1`), and the tail is added last.
+///
+/// Each `f32 × f32` product is exact in f64 (48 significant bits fit in
+/// 53), so only the order of the additions differs from a serial
+/// left-to-right sum, and the result differs from it by rounding only.
+/// There is no `mul_add` and no runtime CPU-feature dispatch, so the
+/// result is bit-reproducible on any host.
 #[inline]
 pub fn dot_unit(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0.0f64;
-    for (&x, &y) in a.iter().zip(b) {
-        acc += x as f64 * y as f64;
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let (ca, cb) = (
+        a.chunks_exact(DOT_UNIT_LANES),
+        b.chunks_exact(DOT_UNIT_LANES),
+    );
+    let mut tail = 0.0f64;
+    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+        tail += x as f64 * y as f64;
     }
-    acc
+    let mut lanes = [0.0f64; DOT_UNIT_LANES];
+    for (x, y) in ca.zip(cb) {
+        for ((l, &x), &y) in lanes.iter_mut().zip(x).zip(y) {
+            *l += x as f64 * y as f64;
+        }
+    }
+    let mut width = DOT_UNIT_LANES;
+    while width > 1 {
+        width /= 2;
+        for j in 0..width {
+            lanes[j] += lanes[j + width];
+        }
+    }
+    lanes[0] + tail
 }
 
 /// Sums `vectors` element-wise into a fresh vector; the bag-of-words
@@ -293,6 +331,61 @@ mod tests {
         normalize_into(&a, &mut ua);
         normalize_into(&b, &mut ub);
         assert!((dot_unit(&ua, &ub) - cosine(&a, &b)).abs() < 1e-6);
+    }
+
+    /// Values in (-1, 1) with all 24 mantissa bits in use. `f32` draws
+    /// from `random_range` are multiples of 2^-23, whose products sum
+    /// exactly in f64 in any order, so they cannot tell two summation
+    /// orders apart.
+    fn full_mantissas(rng: &mut StdRng, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|_| (rng.random::<f64>() * 2.0 - 1.0) as f32)
+            .collect()
+    }
+
+    #[test]
+    fn dot_unit_follows_the_documented_summation_order() {
+        // The order in `dot_unit`'s doc comment, written out index by index.
+        fn reference(a: &[f32], b: &[f32]) -> f64 {
+            let body = a.len() / 8 * 8;
+            let mut lanes = [0.0f64; 8];
+            for i in 0..body {
+                lanes[i % 8] += a[i] as f64 * b[i] as f64;
+            }
+            let mut tail = 0.0f64;
+            for i in body..a.len() {
+                tail += a[i] as f64 * b[i] as f64;
+            }
+            for width in [4, 2, 1] {
+                for j in 0..width {
+                    lanes[j] += lanes[j + width];
+                }
+            }
+            lanes[0] + tail
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 128, 300] {
+            let (a, b) = (full_mantissas(&mut rng, len), full_mantissas(&mut rng, len));
+            assert_eq!(
+                dot_unit(&a, &b).to_bits(),
+                reference(&a, &b).to_bits(),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn dot_unit_matches_a_serial_f64_reference() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 128, 300] {
+            let (a, b) = (full_mantissas(&mut rng, len), full_mantissas(&mut rng, len));
+            let mut want = 0.0f64;
+            for (&x, &y) in a.iter().zip(&b) {
+                want += x as f64 * y as f64;
+            }
+            let got = dot_unit(&a, &b);
+            assert!((got - want).abs() <= 1e-12, "len {len}: {got} vs {want}");
+        }
     }
 
     #[test]

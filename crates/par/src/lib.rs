@@ -1,12 +1,14 @@
 //! `actor-par` — deterministic scoped-thread data parallelism: the one
 //! thread driver of the workspace.
 //!
-//! Two kinds of work run on it:
+//! Three kinds of work run on it:
 //!
 //! * **Preprocessing** — hotspot detection, co-occurrence counting,
 //!   alias/negative-table construction, meta-graph instance counting —
 //!   through the combinators [`par_map_chunks`], [`par_map`] and
 //!   [`par_accumulate`], with the worker count from [`threads`].
+//! * **Serving snapshots** — `serve::Snapshot::build` builds one HNSW
+//!   graph per indexed modality through [`par_map`].
 //! * **SGD training** — the ACTOR trainer, LINE and the walk/edge
 //!   baselines — through [`run_seeded`], which splits a sample budget
 //!   over an explicit thread count and hands each shard its own seeded

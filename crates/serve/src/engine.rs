@@ -79,6 +79,11 @@ pub struct QueryEngine {
     params: EngineParams,
     next_epoch: AtomicU64,
     publishes: AtomicU64,
+    /// `serve.query.latency_us`, `serve.query.count` and `serve.publish`,
+    /// looked up once so a query takes no registry lock.
+    query_latency: obs::Histogram,
+    query_count: obs::Counter,
+    publish_count: obs::Counter,
 }
 
 impl QueryEngine {
@@ -93,6 +98,9 @@ impl QueryEngine {
             params,
             next_epoch: AtomicU64::new(2),
             publishes: AtomicU64::new(0),
+            query_latency: obs::histogram("serve.query.latency_us"),
+            query_count: obs::counter("serve.query.count"),
+            publish_count: obs::counter("serve.publish"),
         }
     }
 
@@ -122,7 +130,7 @@ impl QueryEngine {
         self.cell.store(snap);
         self.cache.clear();
         self.publishes.fetch_add(1, Ordering::Relaxed);
-        obs::counter("serve.publish").incr();
+        self.publish_count.incr();
     }
 
     /// Publishes an incrementally updated model generation: applies
@@ -144,7 +152,7 @@ impl QueryEngine {
         self.cell.store(snap);
         self.cache.clear();
         self.publishes.fetch_add(1, Ordering::Relaxed);
-        obs::counter("serve.publish").incr();
+        self.publish_count.incr();
     }
 
     /// Answers a query against the current snapshot.
@@ -167,8 +175,9 @@ impl QueryEngine {
             self.cache.insert(key, response.clone());
             Ok(response)
         })?;
-        obs::histogram("serve.query.latency_us").record(started.elapsed().as_micros() as u64);
-        obs::counter("serve.query.count").incr();
+        self.query_latency
+            .record(started.elapsed().as_micros() as u64);
+        self.query_count.incr();
         Ok(response)
     }
 

@@ -118,10 +118,9 @@ impl PartialOrd for Scored {
     }
 }
 
-/// Reusable per-thread search state: the visited-set stamps and both
-/// beam heaps. Reusing it across queries removes every per-query
-/// allocation from the hot path (the satellite fix for `eval::neighbor`'s
-/// per-call candidate rebuilds).
+/// Reusable per-thread search state: the visited-set stamps, both beam
+/// heaps and the sorted result list. Reused across queries, it leaves the
+/// returned result vector as a search's only allocation.
 pub struct SearchScratch {
     /// `visited[i] == stamp` marks node `i` seen in the current search.
     visited: Vec<u32>,
@@ -130,7 +129,8 @@ pub struct SearchScratch {
     frontier: BinaryHeap<Scored>,
     /// Current beam (min-heap by similarity via `Reverse`).
     beam: BinaryHeap<std::cmp::Reverse<Scored>>,
-    /// Staging for results and neighbor selection.
+    /// The last layer search's or exact scan's results, most similar
+    /// first; also the candidate list of neighbor selection while pruning.
     out: Vec<Scored>,
 }
 
@@ -159,6 +159,13 @@ impl SearchScratch {
         self.frontier.clear();
         self.beam.clear();
         self.out.clear();
+    }
+
+    /// Moves the beam into `out`, sorted most similar first.
+    fn drain_beam_sorted(&mut self) {
+        self.out.clear();
+        self.out.extend(self.beam.drain().map(|r| r.0));
+        self.out.sort_by(|a, b| b.cmp(a));
     }
 
     /// Marks `id` visited; returns true the first time.
@@ -194,8 +201,9 @@ pub struct HnswIndex {
 
 impl HnswIndex {
     /// Builds the index over every vector of `vecs` (deterministic for a
-    /// fixed seed). Single-threaded; building happens off the query path
-    /// at snapshot-publish time.
+    /// fixed seed). One graph builds on one thread; [`crate::Snapshot::build`]
+    /// builds the graphs of different modalities concurrently, off the
+    /// query path at publish time.
     pub fn build(vecs: &impl VectorSource, params: HnswParams) -> Self {
         assert!(!vecs.is_empty(), "cannot index an empty vector set");
         assert!(params.m >= 2, "HNSW needs m >= 2");
@@ -253,13 +261,13 @@ impl HnswIndex {
         }
         // Beam search and bidirectional linking on the element's layers.
         for l in (0..=level.min(self.max_level)).rev() {
-            let beam = self.search_layer(vecs, q, ep, self.params.ef_construction, l, scratch);
-            ep = beam.first().map_or(ep, |s| s.id);
-            let chosen = select_neighbors(vecs, beam, self.cap(l));
+            self.search_layer(vecs, q, ep, self.params.ef_construction, l, scratch);
+            ep = scratch.out.first().map_or(ep, |s| s.id);
+            let chosen = select_neighbors(vecs, &mut scratch.out, self.cap(l));
             for &nb in &chosen {
                 self.layers[l][id as usize].push(nb);
                 self.layers[l][nb as usize].push(id);
-                self.prune(vecs, nb, l);
+                self.prune(vecs, nb, l, &mut scratch.out);
             }
         }
         if level > self.max_level {
@@ -269,22 +277,27 @@ impl HnswIndex {
     }
 
     /// Re-selects `node`'s neighbor list on `layer` down to its cap using
-    /// the same diversity heuristic as insertion.
-    fn prune(&mut self, vecs: &impl VectorSource, node: u32, layer: usize) {
+    /// the same diversity heuristic as insertion, scoring the current list
+    /// into `candidates` (a reused buffer).
+    fn prune(
+        &mut self,
+        vecs: &impl VectorSource,
+        node: u32,
+        layer: usize,
+        candidates: &mut Vec<Scored>,
+    ) {
         let cap = self.cap(layer);
-        if self.layers[layer][node as usize].len() <= cap {
+        let list = &self.layers[layer][node as usize];
+        if list.len() <= cap {
             return;
         }
-        let list = std::mem::take(&mut self.layers[layer][node as usize]);
         let v = vecs.vector(node);
-        let scored: Vec<Scored> = list
-            .into_iter()
-            .map(|nb| Scored {
-                sim: dot_unit(v, vecs.vector(nb)),
-                id: nb,
-            })
-            .collect();
-        self.layers[layer][node as usize] = select_neighbors(vecs, scored, cap);
+        candidates.clear();
+        candidates.extend(list.iter().map(|&nb| Scored {
+            sim: dot_unit(v, vecs.vector(nb)),
+            id: nb,
+        }));
+        self.layers[layer][node as usize] = select_neighbors(vecs, candidates, cap);
     }
 
     /// One greedy hill-climb on `layer` starting from `ep`.
@@ -306,8 +319,8 @@ impl HnswIndex {
         }
     }
 
-    /// Best-first beam search on one layer; returns up to `ef` results
-    /// sorted most-similar first (staged in `scratch.out`).
+    /// Best-first beam search on one layer; leaves up to `ef` results in
+    /// `scratch.out`, sorted most-similar first.
     fn search_layer(
         &self,
         vecs: &impl VectorSource,
@@ -316,7 +329,7 @@ impl HnswIndex {
         ef: usize,
         layer: usize,
         scratch: &mut SearchScratch,
-    ) -> Vec<Scored> {
+    ) {
         scratch.begin(self.len());
         scratch.first_visit(ep);
         let seed = Scored {
@@ -346,9 +359,7 @@ impl HnswIndex {
                 }
             }
         }
-        let mut out: Vec<Scored> = scratch.beam.drain().map(|r| r.0).collect();
-        out.sort_by(|a, b| b.cmp(a));
-        out
+        scratch.drain_beam_sorted();
     }
 
     /// Re-indexes element `id` after its vector changed in place: unlinks
@@ -409,8 +420,19 @@ impl HnswIndex {
         for l in (1..=self.max_level).rev() {
             ep = self.greedy_step(vecs, q, ep, l);
         }
-        let beam = self.search_layer(vecs, q, ep, ef, 0, scratch);
-        beam.into_iter().take(k).map(|s| (s.id, s.sim)).collect()
+        self.search_layer(vecs, q, ep, ef, 0, scratch);
+        scratch.out.iter().take(k).map(|s| (s.id, s.sim)).collect()
+    }
+}
+
+/// Graph equality (levels, adjacency, entry), for determinism tests.
+#[cfg(test)]
+impl PartialEq for HnswIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.levels == other.levels
+            && self.layers == other.layers
+            && self.entry == other.entry
+            && self.max_level == other.max_level
     }
 }
 
@@ -423,12 +445,18 @@ impl HnswIndex {
 /// edge bridging two clusters gets pruned in favor of intra-cluster edges
 /// and whole clusters become unreachable from the entry point. The
 /// diversity condition keeps exactly those bridges.
-fn select_neighbors(vecs: &impl VectorSource, mut candidates: Vec<Scored>, cap: usize) -> Vec<u32> {
+///
+/// Sorts and dedups `candidates` in place.
+fn select_neighbors(
+    vecs: &impl VectorSource,
+    candidates: &mut Vec<Scored>,
+    cap: usize,
+) -> Vec<u32> {
     candidates.sort_by(|a, b| b.cmp(a));
     candidates.dedup_by_key(|s| s.id);
     let mut kept: Vec<u32> = Vec::with_capacity(cap);
     let mut rejected: Vec<u32> = Vec::new();
-    for c in candidates {
+    for &c in candidates.iter() {
         if kept.len() >= cap {
             break;
         }
@@ -473,35 +501,14 @@ pub fn exact_top_k(
             scratch.beam.push(std::cmp::Reverse(s));
         }
     }
-    let mut out: Vec<Scored> = scratch.beam.drain().map(|r| r.0).collect();
-    out.sort_by(|a, b| b.cmp(a));
-    out.into_iter().map(|s| (s.id, s.sim)).collect()
+    scratch.drain_beam_sorted();
+    scratch.out.iter().map(|s| (s.id, s.sim)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use embed::math::normalize_into;
-
-    /// Clustered unit vectors: `n` points around `n_clusters` random
-    /// centers — the shape real embedding spaces take.
-    fn clustered(n: usize, dim: usize, n_clusters: usize, seed: u64) -> FlatVectors {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut centers = vec![0.0f32; n_clusters * dim];
-        for x in centers.iter_mut() {
-            *x = rng.random_range(-1.0f32..1.0);
-        }
-        let mut data = vec![0.0f32; n * dim];
-        let mut raw = vec![0.0f32; dim];
-        for i in 0..n {
-            let c = i % n_clusters;
-            for d in 0..dim {
-                raw[d] = centers[c * dim + d] + rng.random_range(-0.15f32..0.15);
-            }
-            normalize_into(&raw, &mut data[i * dim..(i + 1) * dim]);
-        }
-        FlatVectors::new(data, dim)
-    }
+    use crate::testkit::clustered_unit_vectors as clustered;
 
     #[test]
     fn exact_top_k_is_sorted_and_correct() {

@@ -11,13 +11,20 @@
 //! beats an HNSW walk and is exact for free; large modalities get an HNSW
 //! graph.
 //!
+//! [`Snapshot::build`] builds the HNSW graphs of the indexed modalities
+//! concurrently, one graph per task on [`par::par_map`] (so on up to
+//! [`par::threads`] threads). Each graph is built single-threaded from a
+//! fixed seed, so the graphs are the same at every thread count; a
+//! snapshot with at most one indexed modality spawns no thread.
+//!
 //! Snapshots come in two flavors: [`Snapshot::build`] freezes a model from
 //! scratch, and [`Snapshot::apply_delta`] re-freezes only the rows a
 //! [`StoreDelta`] says changed since the previous snapshot — clean rows
 //! (raw and normalized) are carried over bit-identically and dirty nodes
 //! are re-inserted into the previous HNSW graphs in place, which is what
 //! makes a streaming publish cost proportional to the drift, not the
-//! model.
+//! model. Delta applies stay on the calling thread: their patches are
+//! small, and a thread spawn would cost more than it saves.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,7 +33,7 @@ use actor_core::{ModelArtifacts, StoreDelta, TrainedModel};
 use embed::math::mean_of;
 use embed::NormalizedRows;
 use mobility::KeywordId;
-use stgraph::{NodeId, NodeType};
+use stgraph::{NodeId, NodeSpace, NodeType};
 
 use crate::hnsw::{exact_top_k, HnswIndex, HnswParams, SearchScratch, VectorSource};
 
@@ -64,6 +71,16 @@ struct ModalView<'a> {
     count: usize,
 }
 
+impl<'a> ModalView<'a> {
+    fn new(norms: &'a NormalizedRows, space: &NodeSpace, ty: NodeType) -> Self {
+        Self {
+            norms,
+            offset: space.offset(ty) as usize,
+            count: space.count(ty) as usize,
+        }
+    }
+}
+
 impl VectorSource for ModalView<'_> {
     fn len(&self) -> usize {
         self.count
@@ -75,6 +92,7 @@ impl VectorSource for ModalView<'_> {
 
 /// Per-modality retrieval structure.
 #[derive(Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 enum ModalIndex {
     /// Exact linear scan (small or forced-exact modalities).
     Exact,
@@ -116,17 +134,22 @@ impl Snapshot {
         let norms = NormalizedRows::from_flat(&raw, dim);
         let artifacts = Arc::clone(model.artifacts());
         let space = *artifacts.space();
+        let indexed: Vec<NodeType> = NodeType::ALL
+            .into_iter()
+            .filter(|&ty| {
+                let count = space.count(ty) as usize;
+                count > 0 && count >= params.ann_threshold
+            })
+            .collect();
+        let mut graphs = par::par_map(&indexed, |_, &ty| {
+            HnswIndex::build(&ModalView::new(&norms, &space, ty), params.hnsw)
+        })
+        .into_iter();
         let indexes = NodeType::ALL.map(|ty| {
-            let count = space.count(ty) as usize;
-            if count == 0 || count < params.ann_threshold {
-                ModalIndex::Exact
+            if indexed.contains(&ty) {
+                ModalIndex::Ann(graphs.next().expect("one graph per indexed modality"))
             } else {
-                let view = ModalView {
-                    norms: &norms,
-                    offset: space.offset(ty) as usize,
-                    count,
-                };
-                ModalIndex::Ann(HnswIndex::build(&view, params.hnsw))
+                ModalIndex::Exact
             }
         });
         obs::counter("serve.snapshot.built").incr();
@@ -179,33 +202,26 @@ impl Snapshot {
 
         let space = *prev.artifacts.space();
         let mut scratch = SearchScratch::new();
-        let indexes = NodeType::ALL.map(|ty| {
-            let offset = space.offset(ty) as usize;
-            let count = space.count(ty) as usize;
-            match &prev.indexes[modality_slot(ty)] {
-                ModalIndex::Exact => ModalIndex::Exact,
-                ModalIndex::Ann(index) => {
-                    let dirty: Vec<u32> = delta
-                        .centers
-                        .iter()
-                        .map(|&r| r as usize)
-                        .filter(|&r| r >= offset && r < offset + count)
-                        .map(|r| (r - offset) as u32)
-                        .collect();
-                    let view = ModalView {
-                        norms: &norms,
-                        offset,
-                        count,
-                    };
-                    if dirty.len() as f64 > params.rebuild_fraction * count as f64 {
-                        ModalIndex::Ann(HnswIndex::build(&view, params.hnsw))
-                    } else {
-                        let mut index = index.clone();
-                        for &id in &dirty {
-                            index.update_row(&view, id, &mut scratch);
-                        }
-                        ModalIndex::Ann(index)
+        let indexes = NodeType::ALL.map(|ty| match &prev.indexes[modality_slot(ty)] {
+            ModalIndex::Exact => ModalIndex::Exact,
+            ModalIndex::Ann(index) => {
+                let view = ModalView::new(&norms, &space, ty);
+                let (offset, count) = (view.offset, view.count);
+                let dirty: Vec<u32> = delta
+                    .centers
+                    .iter()
+                    .map(|&r| r as usize)
+                    .filter(|&r| r >= offset && r < offset + count)
+                    .map(|r| (r - offset) as u32)
+                    .collect();
+                if dirty.len() as f64 > params.rebuild_fraction * count as f64 {
+                    ModalIndex::Ann(HnswIndex::build(&view, params.hnsw))
+                } else {
+                    let mut index = index.clone();
+                    for &id in &dirty {
+                        index.update_row(&view, id, &mut scratch);
                     }
+                    ModalIndex::Ann(index)
                 }
             }
         });
@@ -269,12 +285,7 @@ impl Snapshot {
     }
 
     fn view(&self, ty: NodeType) -> ModalView<'_> {
-        let space = self.artifacts.space();
-        ModalView {
-            norms: &self.norms,
-            offset: space.offset(ty) as usize,
-            count: space.count(ty) as usize,
-        }
+        ModalView::new(&self.norms, self.artifacts.space(), ty)
     }
 
     /// Top-`k` vertices of `ty` by similarity to the **unit** query
@@ -385,6 +396,28 @@ mod tests {
         let top = snap.top_k(NodeType::Word, &unit, 3, None, &mut scratch);
         assert_eq!(top[0].0, node);
         assert!((top[0].1 - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn concurrent_builds_give_the_same_graphs_at_any_thread_count() {
+        let m = crate::testkit::synthetic_model(400, 16, 5);
+        let forced = IndexParams {
+            ann_threshold: 0,
+            ..IndexParams::default()
+        };
+        let build = |threads| {
+            let _threads = par::override_threads(threads);
+            Snapshot::build(&m, &forced, 1)
+        };
+        let (one, two) = (build(1), build(2));
+        for ty in NodeType::ALL {
+            assert!(one.is_ann(ty), "{ty:?}");
+            let slot = modality_slot(ty);
+            assert!(
+                one.indexes[slot] == two.indexes[slot],
+                "{ty:?} graph differs"
+            );
+        }
     }
 
     #[test]

@@ -6,14 +6,20 @@
 //! from planted hotspot centers, an interned vocabulary, and *clustered*
 //! embedding rows (the shape real embedding spaces take — uniform random
 //! vectors are near-equidistant in high dimension, which no ANN index can
-//! or should be judged on).
+//! or should be judged on). [`clustered_unit_vectors`] is the same shape
+//! as a bare vector set, for exercising an [`HnswIndex`] on its own.
+//!
+//! [`HnswIndex`]: crate::HnswIndex
 
 use actor_core::{ActorConfig, TrainedModel};
+use embed::math::normalize_into;
 use embed::EmbeddingStore;
 use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::{GeoPoint, Vocabulary};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use stgraph::NodeSpace;
+
+use crate::hnsw::FlatVectors;
 
 /// Seconds per day; the period of the synthetic temporal hotspots.
 const DAY: f64 = 86_400.0;
@@ -71,6 +77,27 @@ pub fn synthetic_model(n_per_modality: usize, dim: usize, seed: u64) -> TrainedM
     }
 
     TrainedModel::from_parts(store, space, spatial, temporal, vocab, ActorConfig::fast())
+}
+
+/// `n` unit vectors of width `dim` around `n_clusters` random centers
+/// (±0.15 noise per coordinate before normalizing), deterministic in
+/// `seed`.
+pub fn clustered_unit_vectors(n: usize, dim: usize, n_clusters: usize, seed: u64) -> FlatVectors {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut centers = vec![0.0f32; n_clusters * dim];
+    for x in centers.iter_mut() {
+        *x = rng.random_range(-1.0f32..1.0);
+    }
+    let mut data = vec![0.0f32; n * dim];
+    let mut raw = vec![0.0f32; dim];
+    for i in 0..n {
+        let c = i % n_clusters;
+        for (d, r) in raw.iter_mut().enumerate() {
+            *r = centers[c * dim + d] + rng.random_range(-0.15f32..0.15);
+        }
+        normalize_into(&raw, &mut data[i * dim..(i + 1) * dim]);
+    }
+    FlatVectors::new(data, dim)
 }
 
 /// A probe query vector near the embedding of global row `i`: the row

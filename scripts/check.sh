@@ -9,9 +9,10 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== embed kernel and hotspot oracle tests at the shipped opt level =="
+echo "== embed kernel, hotspot oracle and serve (HNSW recall) tests at the shipped opt level =="
 cargo test -q --release -p actor-embed
 cargo test -q --release -p actor-hotspot
+cargo test -q --release -p actor-serve
 
 echo "== resilience acceptance suite =="
 cargo test -q --test resilience
