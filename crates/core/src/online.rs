@@ -68,42 +68,29 @@ struct StreamUnits {
     user: Option<NodeId>,
 }
 
-/// The store rows streaming steps wrote since the last publish: one flag
-/// per row of each matrix.
+/// The center rows streaming steps wrote since the last publish: one flag
+/// per row. Context rows are not tracked: no sink reads them.
 struct DirtyRows {
     centers: Vec<bool>,
-    contexts: Vec<bool>,
 }
 
 impl DirtyRows {
-    /// Flags the rows one SGD step writes: every center, the context, and
-    /// the negative's context row when the step draws negatives (a
-    /// negative equal to the context is skipped, and that row is flagged
-    /// as the context anyway).
-    fn mark(&mut self, centers: &[usize], context: usize, negative: usize, negatives: bool) {
+    /// Flags the center rows one SGD step writes.
+    fn mark(&mut self, centers: &[usize]) {
         for &c in centers {
             self.centers[c] = true;
-        }
-        self.contexts[context] = true;
-        if negatives {
-            self.contexts[negative] = true;
         }
     }
 
     /// The flagged rows in row order (sorted, duplicate-free), clearing
     /// every flag.
     fn drain(&mut self) -> StoreDelta {
-        fn take(flags: &mut [bool]) -> Vec<u32> {
-            let rows = (0..flags.len() as u32)
-                .filter(|&i| flags[i as usize])
-                .collect();
-            flags.fill(false);
-            rows
-        }
-        StoreDelta {
-            centers: take(&mut self.centers),
-            contexts: take(&mut self.contexts),
-        }
+        let flags = &mut self.centers;
+        let centers = (0..flags.len() as u32)
+            .filter(|&i| flags[i as usize])
+            .collect();
+        flags.fill(false);
+        StoreDelta { centers }
     }
 }
 
@@ -152,7 +139,6 @@ impl OnlineActor {
                 seen: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
                 dirty: DirtyRows {
                     centers: vec![false; n],
-                    contexts: vec![false; n],
                 },
                 bag: Vec::new(),
             },
@@ -179,7 +165,7 @@ impl OnlineActor {
         // Every row touched so far is covered by this full publish;
         // anything touched afterwards lands in the first delta.
         self.trainer.dirty.drain();
-        record_publish(2 * self.model.store().n_nodes());
+        record_publish(self.model.store().n_nodes());
         sink.publish(&self.model);
         self.sink = Some((sink, every));
     }
@@ -327,7 +313,6 @@ impl Trainer {
             dirty,
             bag,
         } = self;
-        let negatives = upd.params().negatives > 0;
         let neg_of = |ty: NodeType, rng: &mut StdRng| -> Option<usize> {
             let pool = &seen[ty.index()];
             pool.choose(rng).map(|n| n.idx())
@@ -337,11 +322,11 @@ impl Trainer {
         // T ↔ L.
         if let Some(n) = neg_of(NodeType::Location, rng) {
             upd.step(store, time, location, rng, |_| n);
-            dirty.mark(&[time], location, n, negatives);
+            dirty.mark(&[time]);
         }
         if let Some(n) = neg_of(NodeType::Time, rng) {
             upd.step(store, location, time, rng, |_| n);
-            dirty.mark(&[location], time, n, negatives);
+            dirty.mark(&[location]);
         }
         if units.words.is_empty() {
             return;
@@ -351,11 +336,11 @@ impl Trainer {
         // bag → L, bag → T (footnote-4 style).
         if let Some(n) = neg_of(NodeType::Location, rng) {
             upd.step_bag(store, bag, location, rng, |_| n);
-            dirty.mark(bag, location, n, negatives);
+            dirty.mark(bag);
         }
         if let Some(n) = neg_of(NodeType::Time, rng) {
             upd.step_bag(store, bag, time, rng, |_| n);
-            dirty.mark(bag, time, n, negatives);
+            dirty.mark(bag);
         }
         // One word pair.
         if bag.len() >= 2 {
@@ -366,7 +351,7 @@ impl Trainer {
                     j += 1;
                 }
                 upd.step(store, bag[i], bag[j], rng, |_| n);
-                dirty.mark(&[bag[i]], bag[j], n, negatives);
+                dirty.mark(&[bag[i]]);
             }
         }
         // Author ↔ units (inter-record layer).
@@ -375,15 +360,15 @@ impl Trainer {
             if let Some(n) = neg_of(NodeType::Word, rng) {
                 let w = *bag.choose(rng).expect("non-empty bag");
                 upd.step(store, user, w, rng, |_| n);
-                dirty.mark(&[user], w, n, negatives);
+                dirty.mark(&[user]);
             }
             if let Some(n) = neg_of(NodeType::Location, rng) {
                 upd.step(store, user, location, rng, |_| n);
-                dirty.mark(&[user], location, n, negatives);
+                dirty.mark(&[user]);
             }
             if let Some(n) = neg_of(NodeType::Time, rng) {
                 upd.step(store, user, time, rng, |_| n);
-                dirty.mark(&[user], time, n, negatives);
+                dirty.mark(&[user]);
             }
         }
     }
@@ -528,26 +513,24 @@ mod tests {
         let rows = sink.delta_rows.load(Ordering::SeqCst);
         assert!(rows > 0, "the stream touches rows");
         assert!(
-            rows < sink.deltas.load(Ordering::SeqCst) * 2 * n_nodes as u64,
+            rows < sink.deltas.load(Ordering::SeqCst) * n_nodes as u64,
             "deltas must be narrower than full republishes: {rows}"
         );
     }
 
-    /// Keeps the row bits of its last publish and checks that each delta
-    /// lists exactly the rows whose bits changed since then.
+    /// Keeps the center-row bits of its last publish and checks that each
+    /// delta lists exactly the center rows whose bits changed since then.
     #[derive(Default)]
     struct BitDiff {
-        rows: std::sync::Mutex<[Vec<Vec<u32>>; 2]>,
+        rows: std::sync::Mutex<Vec<Vec<u32>>>,
         deltas: std::sync::atomic::AtomicU64,
     }
 
-    fn row_bits(m: &TrainedModel) -> [Vec<Vec<u32>>; 2] {
-        let store = m.store();
-        [&store.centers, &store.contexts].map(|matrix| {
-            (0..matrix.n_rows())
-                .map(|i| matrix.row(i).iter().map(|x| x.to_bits()).collect())
-                .collect()
-        })
+    fn row_bits(m: &TrainedModel) -> Vec<Vec<u32>> {
+        let centers = &m.store().centers;
+        (0..centers.n_rows())
+            .map(|i| centers.row(i).iter().map(|x| x.to_bits()).collect())
+            .collect()
     }
 
     impl crate::publish::ModelSink for BitDiff {
@@ -558,16 +541,11 @@ mod tests {
         fn publish_delta(&self, m: &TrainedModel, delta: &crate::StoreDelta) {
             let now = row_bits(m);
             let mut last = self.rows.lock().unwrap();
-            for (side, listed) in [&delta.centers, &delta.contexts].into_iter().enumerate() {
-                let changed: Vec<u32> = (0..now[side].len())
-                    .filter(|&i| now[side][i] != last[side][i])
-                    .map(|i| i as u32)
-                    .collect();
-                assert_eq!(
-                    listed, &changed,
-                    "matrix {side}: delta rows vs changed rows"
-                );
-            }
+            let changed: Vec<u32> = (0..now.len())
+                .filter(|&i| now[i] != last[i])
+                .map(|i| i as u32)
+                .collect();
+            assert_eq!(delta.centers, changed, "delta rows vs changed rows");
             *last = now;
             self.deltas
                 .fetch_add(1, std::sync::atomic::Ordering::SeqCst);

@@ -11,25 +11,25 @@
 
 use crate::model::TrainedModel;
 
-/// The store rows changed since a sink's last publish: the payload of
-/// [`ModelSink::publish_delta`]. Row lists are sorted and duplicate-free.
+/// The center rows changed since a sink's last publish: the payload of
+/// [`ModelSink::publish_delta`]. Serving reads only center rows (a model's
+/// embedding of a unit), so context rows are not tracked.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreDelta {
-    /// Changed center-matrix rows (global node indexes).
+    /// Changed center-matrix rows (global node indexes), sorted and
+    /// duplicate-free.
     pub centers: Vec<u32>,
-    /// Changed context-matrix rows (global node indexes).
-    pub contexts: Vec<u32>,
 }
 
 impl StoreDelta {
-    /// Total changed rows across both matrices.
+    /// Changed rows.
     pub fn dirty_rows(&self) -> usize {
-        self.centers.len() + self.contexts.len()
+        self.centers.len()
     }
 
     /// True when no row changed since the last publish.
     pub fn is_empty(&self) -> bool {
-        self.centers.is_empty() && self.contexts.is_empty()
+        self.centers.is_empty()
     }
 }
 
@@ -64,8 +64,8 @@ pub trait ModelSink: Send + Sync {
 
 /// Records one publish in the obs registry: `core.publish.count` counts
 /// publishes of either form, `core.publish.dirty_rows` accumulates the
-/// store rows actually shipped (all rows for a full publish, the delta's
-/// row count for an incremental one).
+/// center rows actually shipped (all of them for a full publish, the
+/// delta's row count for an incremental one).
 pub(crate) fn record_publish(dirty_rows: usize) {
     obs::counter("core.publish.count").incr();
     obs::counter("core.publish.dirty_rows").add(dirty_rows as u64);
@@ -108,7 +108,6 @@ mod tests {
         model.store_mut().centers.row_mut(3).fill(-1.0);
         let delta = StoreDelta {
             centers: vec![0, 3],
-            contexts: vec![],
         };
         sink.publish_delta(&model, &delta);
         assert_eq!(sink.delta_rows.load(Ordering::SeqCst), 2);

@@ -14,12 +14,12 @@
 
 use actor_core::TrainedModel;
 use mobility::{types::format_time_of_day, GeoPoint};
-use serve::{EngineParams, QueryEngine, QueryRequest, QueryResponse};
+use serve::{EngineParams, QueryEngine, QueryError, QueryRequest};
 
 /// Result of a neighbor query: top-k per modality.
 #[derive(Debug, Clone)]
 pub struct NeighborReport {
-    /// Query description for display.
+    /// Query description for display (the request's `QueryKind`).
     pub query: String,
     /// Top keywords with scores.
     pub words: Vec<(String, f64)>,
@@ -27,21 +27,6 @@ pub struct NeighborReport {
     pub times: Vec<(String, f64)>,
     /// Top spatial hotspot centers with scores.
     pub places: Vec<(GeoPoint, f64)>,
-}
-
-impl NeighborReport {
-    fn from_response(r: QueryResponse) -> Self {
-        Self {
-            query: r.query,
-            words: r.words,
-            times: r
-                .times
-                .into_iter()
-                .map(|(s, score)| (format_time_of_day(s), score))
-                .collect(),
-            places: r.places,
-        }
-    }
 }
 
 /// A reusable neighbor-search handle: one frozen snapshot of the model,
@@ -66,31 +51,38 @@ impl NeighborSearcher {
         &self.engine
     }
 
+    /// Answers `req` and describes it by its own kind, so two requests
+    /// that share a cached answer still read as what each asked.
+    fn ask(&self, req: QueryRequest) -> Result<NeighborReport, QueryError> {
+        let r = self.engine.query(&req)?;
+        Ok(NeighborReport {
+            query: req.kind.to_string(),
+            words: r.words,
+            times: r
+                .times
+                .into_iter()
+                .map(|(s, score)| (format_time_of_day(s), score))
+                .collect(),
+            places: r.places,
+        })
+    }
+
     /// Spatial query: the hotspot nearest `point` (Fig. 9).
     pub fn spatial(&self, point: GeoPoint, k: usize) -> NeighborReport {
-        let r = self
-            .engine
-            .query(&QueryRequest::spatial(point, k))
-            .expect("spatial queries cannot fail");
-        NeighborReport::from_response(r)
+        self.ask(QueryRequest::spatial(point, k))
+            .expect("spatial queries cannot fail")
     }
 
     /// Temporal query: the hotspot nearest a second-of-day (Fig. 10).
     pub fn temporal(&self, second_of_day: f64, k: usize) -> NeighborReport {
-        let r = self
-            .engine
-            .query(&QueryRequest::temporal(second_of_day, k))
-            .expect("temporal queries cannot fail");
-        NeighborReport::from_response(r)
+        self.ask(QueryRequest::temporal(second_of_day, k))
+            .expect("temporal queries cannot fail")
     }
 
     /// Textual query on a vocabulary keyword (Fig. 11); `None` for
     /// out-of-vocabulary words.
     pub fn textual(&self, word: &str, k: usize) -> Option<NeighborReport> {
-        self.engine
-            .query(&QueryRequest::keyword(word, k))
-            .ok()
-            .map(NeighborReport::from_response)
+        self.ask(QueryRequest::keyword(word, k)).ok()
     }
 }
 
@@ -167,6 +159,21 @@ mod tests {
         for (a, b) in got.places.iter().zip(&ref_places) {
             assert!((a.1 - b.1).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn points_in_one_hotspot_share_an_answer_but_not_a_description() {
+        let m = model();
+        let searcher = NeighborSearcher::new(&m);
+        let a = GeoPoint::new(30.25, -97.75);
+        let b = GeoPoint::new(30.251, -97.751);
+        assert_eq!(m.location_node(a), m.location_node(b), "one hotspot");
+        let ra = searcher.spatial(a, 5);
+        let rb = searcher.spatial(b, 5);
+        assert_eq!(searcher.engine().stats().cache_hits, 1);
+        assert_eq!(ra.words, rb.words);
+        assert_eq!(ra.query, "location (30.2500, -97.7500)");
+        assert_eq!(rb.query, "location (30.2510, -97.7510)");
     }
 
     #[test]

@@ -40,7 +40,10 @@ impl RunTelemetry {
     }
 
     /// Only what happened after `baseline` was taken — the right call for
-    /// isolating one run when the process does several.
+    /// isolating one run when the process does several. Every difference
+    /// saturates at zero: after a [`crate::reset`] between `baseline` and
+    /// now, a span, counter or histogram that has recorded less than the
+    /// baseline held reads as nothing, not as an underflow.
     pub fn since(baseline: &Snapshot) -> Self {
         Self::from_snapshot_pair(Some(baseline), snapshot())
     }
@@ -56,8 +59,8 @@ impl RunTelemetry {
                     .and_then(|b| b.spans.iter().find(|(p, _)| p == path))
                     .map(|(_, s)| *s)
                     .unwrap_or_default();
-                let count = stat.count - prior.count;
-                let total_ns = stat.total_ns - prior.total_ns;
+                let count = stat.count.saturating_sub(prior.count);
+                let total_ns = stat.total_ns.saturating_sub(prior.total_ns);
                 (count > 0).then(|| (path.clone(), count, total_ns))
             })
             .collect();

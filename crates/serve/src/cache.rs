@@ -1,13 +1,15 @@
-//! Sharded LRU cache over quantized query vectors.
+//! Sharded LRU cache over resolved requests.
 //!
-//! Two observations make caching worthwhile for activity queries: real
-//! traffic is heavily repeated (the same landmarks, the same commute
-//! hours), and cosine ranking is insensitive to tiny query perturbations.
-//! The cache key therefore *quantizes* the unit query vector to `i16`
-//! grid cells — queries within a quantization cell share one entry — and
-//! adds everything else that changes the answer (k, modality mask, and
-//! the snapshot epoch, so a hot-swap naturally invalidates: stale-epoch
-//! entries can no longer be hit and age out of the LRU).
+//! Real activity traffic is heavily repeated (the same landmarks, the
+//! same commute hours), and many distinct raw requests ask the same
+//! thing: every point in one spatial hotspot and every second in one
+//! temporal hotspot resolves to that hotspot's node (§4.3). The key is
+//! therefore the request as resolved against the serving snapshot — its
+//! time node, location node and keywords — plus everything else that
+//! changes the answer (k, modality mask, and the snapshot epoch, so a
+//! hot-swap naturally invalidates: stale-epoch entries can no longer be
+//! hit and age out of the LRU). The engine looks the key up before it
+//! builds any query vector, so a hit costs a node lookup and a clone.
 //!
 //! Sharding by key hash keeps lock contention negligible: each shard is an
 //! independent mutex around a hand-rolled intrusive-list LRU (`HashMap`
@@ -18,40 +20,31 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::query::QueryResponse;
+use mobility::KeywordId;
+use stgraph::NodeId;
 
-/// Scale used when quantizing unit-vector components (`round(x · 512)`;
-/// components lie in [-1, 1], so cells are ~0.002 wide — far below any
-/// gap that would reorder a top-k).
-const QUANT_SCALE: f32 = 512.0;
+use crate::query::{ModalityMask, QueryResponse};
 
-/// Fully resolved cache key.
+/// A request resolved against one snapshot: the graph nodes it observed
+/// and the parameters that shape its answer. Two requests with equal keys
+/// get the same answer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Snapshot epoch the answer was computed under.
-    epoch: u64,
+    /// Snapshot epoch the request was resolved under.
+    pub epoch: u64,
     /// Requested k.
-    k: u32,
-    /// Requested modality bitmask.
-    mask: u8,
-    /// Quantized unit query vector.
-    cells: Vec<i16>,
+    pub k: usize,
+    /// Requested modalities.
+    pub modalities: ModalityMask,
+    /// Temporal hotspot node of the observed second-of-day, if any.
+    pub time: Option<NodeId>,
+    /// Spatial hotspot node of the observed point, if any.
+    pub place: Option<NodeId>,
+    /// The observed keywords (each names one word node), in request order.
+    pub words: Vec<KeywordId>,
 }
 
 impl CacheKey {
-    /// Quantizes a unit query vector plus the answer-shaping parameters.
-    pub fn new(epoch: u64, k: usize, mask: u8, unit_query: &[f32]) -> Self {
-        Self {
-            epoch,
-            k: k as u32,
-            mask,
-            cells: unit_query
-                .iter()
-                .map(|&x| (x * QUANT_SCALE).round() as i16)
-                .collect(),
-        }
-    }
-
     fn hash64(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.hash(&mut h);
@@ -251,7 +244,6 @@ mod tests {
 
     fn response(tag: u64) -> QueryResponse {
         QueryResponse {
-            query: format!("q{tag}"),
             epoch: tag,
             from_cache: false,
             words: Vec::new(),
@@ -260,62 +252,60 @@ mod tests {
         }
     }
 
-    fn key(epoch: u64, x: f32) -> CacheKey {
-        CacheKey::new(epoch, 10, 0b111, &[x, 0.5, -0.25])
+    fn key(epoch: u64, place: u32) -> CacheKey {
+        CacheKey {
+            epoch,
+            k: 10,
+            modalities: ModalityMask::ALL,
+            time: None,
+            place: Some(NodeId(place)),
+            words: Vec::new(),
+        }
     }
 
     #[test]
     fn hit_after_insert_and_epoch_isolation() {
         let cache = QueryCache::new(64, 4);
-        assert!(cache.get(&key(1, 0.1)).is_none());
-        cache.insert(key(1, 0.1), response(7));
-        assert_eq!(cache.get(&key(1, 0.1)).unwrap().epoch, 7);
+        assert!(cache.get(&key(1, 1)).is_none());
+        cache.insert(key(1, 1), response(7));
+        assert_eq!(cache.get(&key(1, 1)).unwrap().epoch, 7);
         // Same query under a newer epoch misses: hot-swap invalidates.
-        assert!(cache.get(&key(2, 0.1)).is_none());
+        assert!(cache.get(&key(2, 1)).is_none());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
     }
 
     #[test]
-    fn nearby_queries_share_a_cell_distant_ones_do_not() {
-        let a = key(1, 0.5000);
-        let b = key(1, 0.5004); // within one 1/512 cell of a
-        let c = key(1, 0.6);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
     fn lru_evicts_oldest_first() {
         let cache = QueryCache::new(2, 1); // single shard, two slots
-        cache.insert(key(1, 0.1), response(1));
-        cache.insert(key(1, 0.2), response(2));
+        cache.insert(key(1, 1), response(1));
+        cache.insert(key(1, 2), response(2));
         // Touch the first so the second becomes LRU.
-        assert!(cache.get(&key(1, 0.1)).is_some());
-        cache.insert(key(1, 0.3), response(3));
-        assert!(cache.get(&key(1, 0.1)).is_some(), "recently used survives");
-        assert!(cache.get(&key(1, 0.2)).is_none(), "LRU entry evicted");
-        assert!(cache.get(&key(1, 0.3)).is_some());
+        assert!(cache.get(&key(1, 1)).is_some());
+        cache.insert(key(1, 3), response(3));
+        assert!(cache.get(&key(1, 1)).is_some(), "recently used survives");
+        assert!(cache.get(&key(1, 2)).is_none(), "LRU entry evicted");
+        assert!(cache.get(&key(1, 3)).is_some());
     }
 
     #[test]
     fn clear_empties_every_shard() {
         let cache = QueryCache::new(16, 4);
         for i in 0..8 {
-            cache.insert(key(1, i as f32 * 0.1), response(i));
+            cache.insert(key(1, i as u32), response(i));
         }
         cache.clear();
         for i in 0..8 {
-            assert!(cache.get(&key(1, i as f32 * 0.1)).is_none());
+            assert!(cache.get(&key(1, i as u32)).is_none());
         }
     }
 
     #[test]
     fn insert_same_key_refreshes_value() {
         let cache = QueryCache::new(4, 1);
-        cache.insert(key(1, 0.1), response(1));
-        cache.insert(key(1, 0.1), response(2));
-        assert_eq!(cache.get(&key(1, 0.1)).unwrap().epoch, 2);
+        cache.insert(key(1, 1), response(1));
+        cache.insert(key(1, 1), response(2));
+        assert_eq!(cache.get(&key(1, 1)).unwrap().epoch, 2);
     }
 
     #[test]
@@ -326,7 +316,7 @@ mod tests {
                 let cache = cache.clone();
                 s.spawn(move || {
                     for i in 0..500u64 {
-                        let k = key(1, ((t * 131 + i) % 50) as f32 / 50.0);
+                        let k = key(1, ((t * 131 + i) % 50) as u32);
                         if cache.get(&k).is_none() {
                             cache.insert(k, response(i));
                         }

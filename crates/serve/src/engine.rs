@@ -3,8 +3,10 @@
 //! A [`QueryEngine`] is cheap to share (`Arc` it across however many
 //! worker threads the server runs). A query takes two brief locks: the
 //! snapshot cell's, to clone the current `Arc`
-//! ([`crate::swap::SnapshotCell`]), and one cache shard's. Search scratch
-//! is thread-local, and no lock is held while a query searches.
+//! ([`crate::swap::SnapshotCell`]), and one cache shard's. It resolves
+//! the request to graph nodes ([`CacheKey`]) and looks that key up; only
+//! a miss plans a query vector and searches. Search scratch is
+//! thread-local, and no lock is held while a query searches.
 //!
 //! Publishing a new model generation — from online streaming updates, a
 //! restored checkpoint, or a fresh training run — is [`QueryEngine::publish`];
@@ -19,12 +21,13 @@ use std::time::Instant;
 
 use actor_core::{ModelSink, StoreDelta, TrainedModel};
 use embed::math::normalize_into;
-use mobility::{GeoPoint, KeywordId};
-use stgraph::{NodeId, NodeType};
+use hotspot::{SpatialHotspotId, TemporalHotspotId};
+use mobility::KeywordId;
+use stgraph::NodeType;
 
 use crate::cache::{CacheKey, QueryCache};
 use crate::hnsw::SearchScratch;
-use crate::query::{QueryError, QueryKind, QueryRequest, QueryResponse};
+use crate::query::{QueryError, QueryRequest, QueryResponse};
 use crate::snapshot::{IndexParams, Snapshot};
 use crate::swap::SnapshotCell;
 
@@ -66,10 +69,11 @@ pub struct EngineStats {
 }
 
 thread_local! {
-    /// Per-thread search scratch + query-vector buffers: queries allocate
-    /// nothing once a thread has warmed up.
-    static SCRATCH: RefCell<(SearchScratch, Vec<f32>, Vec<f32>)> =
-        RefCell::new((SearchScratch::new(), Vec::new(), Vec::new()));
+    /// Per-thread search scratch, reused by every miss on the thread. A
+    /// query still allocates its key's word list and its response: the
+    /// three result `Vec`s and one `String` per word (a hit clones them
+    /// out of the cache). A miss also allocates its query vector's parts.
+    static SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
 }
 
 /// A concurrent cross-modal query engine over hot-swappable snapshots.
@@ -125,12 +129,7 @@ impl QueryEngine {
     /// older epochs. Safe to call concurrently with queries; concurrent
     /// publishers are serialized by the cell.
     pub fn publish(&self, model: &TrainedModel) {
-        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
-        let snap = Arc::new(Snapshot::build(model, &self.params.index, epoch));
-        self.cell.store(snap);
-        self.cache.clear();
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        self.publish_count.incr();
+        self.swap_in(|epoch| Snapshot::build(model, &self.params.index, epoch));
     }
 
     /// Publishes an incrementally updated model generation: applies
@@ -141,15 +140,14 @@ impl QueryEngine {
     /// model does not descend from the served snapshot.
     pub fn publish_delta(&self, model: &TrainedModel, delta: &StoreDelta) {
         let prev = self.cell.load();
+        self.swap_in(|epoch| Snapshot::apply_delta(&prev, model, delta, &self.params.index, epoch));
+    }
+
+    /// Builds the next epoch's snapshot, swaps it in and drops the cached
+    /// answers of older epochs.
+    fn swap_in(&self, build: impl FnOnce(u64) -> Snapshot) {
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
-        let snap = Arc::new(Snapshot::apply_delta(
-            &prev,
-            model,
-            delta,
-            &self.params.index,
-            epoch,
-        ));
-        self.cell.store(snap);
+        self.cell.store(Arc::new(build(epoch)));
         self.cache.clear();
         self.publishes.fetch_add(1, Ordering::Relaxed);
         self.publish_count.incr();
@@ -159,22 +157,20 @@ impl QueryEngine {
     pub fn query(&self, req: &QueryRequest) -> Result<QueryResponse, QueryError> {
         let started = Instant::now();
         let snap = self.cell.load();
-        let response = SCRATCH.with(|cells| {
-            let (scratch, raw, unit) = &mut *cells.borrow_mut();
-            let desc = plan_query_vector(&snap, &req.kind, raw)?;
-            unit.resize(raw.len(), 0.0);
-            normalize_into(raw, unit);
-
-            let key = CacheKey::new(snap.epoch(), req.k, req.modalities.bits(), unit);
-            if let Some(mut hit) = self.cache.get(&key) {
+        let key = resolve(&snap, req)?;
+        let response = match self.cache.get(&key) {
+            Some(mut hit) => {
                 hit.from_cache = true;
-                return Ok(hit);
+                hit
             }
-
-            let response = answer(&snap, desc, unit, req, scratch);
-            self.cache.insert(key, response.clone());
-            Ok(response)
-        })?;
+            None => {
+                let unit = plan(&snap, &key);
+                let response =
+                    SCRATCH.with(|scratch| answer(&snap, &unit, &key, &mut scratch.borrow_mut()));
+                self.cache.insert(key, response.clone());
+                response
+            }
+        };
         self.query_latency
             .record(started.elapsed().as_micros() as u64);
         self.query_count.incr();
@@ -205,132 +201,83 @@ impl ModelSink for QueryEngine {
     }
 }
 
-/// Resolves a query kind to its raw (un-normalized) §6.2.1 query vector,
-/// written into `raw`, against the snapshot's frozen rows and shared
-/// artifacts. Returns the display description.
-fn plan_query_vector(
-    snap: &Snapshot,
-    kind: &QueryKind,
-    raw: &mut Vec<f32>,
-) -> Result<String, QueryError> {
+/// Resolves a request against the snapshot's artifacts: the nodes of its
+/// observed second-of-day and point, and the ids of its keywords.
+fn resolve(snap: &Snapshot, req: &QueryRequest) -> Result<CacheKey, QueryError> {
     let arts = snap.artifacts();
-    match kind {
-        QueryKind::Spatial(p) => {
-            copy_node_vector(snap, arts.location_node(*p), raw);
-            Ok(format!("location ({:.4}, {:.4})", p.lat, p.lon))
-        }
-        QueryKind::Temporal(s) => {
-            copy_node_vector(snap, arts.time_of_day_node(*s), raw);
-            Ok(format!("time {}", mobility::types::format_time_of_day(*s)))
-        }
-        QueryKind::Keyword(w) => {
-            let kw = lookup_word(snap, w)?;
-            copy_node_vector(snap, arts.word_node(kw), raw);
-            Ok(format!("keyword {w:?}"))
-        }
-        QueryKind::Composite {
-            second_of_day,
-            point,
-            words,
-        } => {
-            let kws: Vec<KeywordId> = words
-                .iter()
-                .map(|w| lookup_word(snap, w))
-                .collect::<Result<_, _>>()?;
-            let mut parts: Vec<Vec<f32>> = Vec::new();
-            let mut desc: Vec<String> = Vec::new();
-            if let Some(s) = second_of_day {
-                parts.push(snap.vector(arts.time_of_day_node(*s)).to_vec());
-                desc.push(mobility::types::format_time_of_day(*s));
-            }
-            if let Some(p) = point {
-                parts.push(snap.vector(arts.location_node(*p)).to_vec());
-                desc.push(format!("({:.4}, {:.4})", p.lat, p.lon));
-            }
-            if !kws.is_empty() {
-                parts.push(snap.text_vector(&kws));
-                desc.push(words.join(" "));
-            }
-            if parts.is_empty() {
-                return Err(QueryError::EmptyQuery);
-            }
-            let views: Vec<&[f32]> = parts.iter().map(|v| v.as_slice()).collect();
-            let q = snap.query_vector(&views);
-            raw.clear();
-            raw.extend_from_slice(&q);
-            Ok(desc.join(" + "))
-        }
+    let (second_of_day, point, words) = req.kind.parts();
+    if second_of_day.is_none() && point.is_none() && words.is_empty() {
+        return Err(QueryError::EmptyQuery);
     }
+    let words = words
+        .iter()
+        .map(|w| {
+            arts.vocab()
+                .get(w)
+                .ok_or_else(|| QueryError::UnknownWord(w.clone()))
+        })
+        .collect::<Result<Vec<KeywordId>, _>>()?;
+    Ok(CacheKey {
+        epoch: snap.epoch(),
+        k: req.k,
+        modalities: req.modalities,
+        time: second_of_day.map(|s| arts.time_of_day_node(s)),
+        place: point.map(|p| arts.location_node(p)),
+        words,
+    })
 }
 
-fn lookup_word(snap: &Snapshot, w: &str) -> Result<KeywordId, QueryError> {
-    snap.artifacts()
-        .vocab()
-        .get(w)
-        .ok_or_else(|| QueryError::UnknownWord(w.to_string()))
-}
-
-fn copy_node_vector(snap: &Snapshot, node: NodeId, raw: &mut Vec<f32>) {
-    raw.clear();
-    raw.extend_from_slice(snap.vector(node));
+/// The unit §6.2.1 query vector of a resolved request: the mean of its
+/// present parts (time row, location row, then the keywords' text
+/// vector), normalized.
+fn plan(snap: &Snapshot, key: &CacheKey) -> Vec<f32> {
+    let text = (!key.words.is_empty()).then(|| snap.text_vector(&key.words));
+    let parts: Vec<&[f32]> = key
+        .time
+        .into_iter()
+        .chain(key.place)
+        .map(|node| snap.vector(node))
+        .chain(text.as_deref())
+        .collect();
+    let raw = snap.query_vector(&parts);
+    let mut unit = vec![0.0; raw.len()];
+    normalize_into(&raw, &mut unit);
+    unit
 }
 
 /// Runs the requested per-modality searches and renders hotspot centers /
 /// vocabulary words.
 fn answer(
     snap: &Snapshot,
-    desc: String,
     unit: &[f32],
-    req: &QueryRequest,
+    key: &CacheKey,
     scratch: &mut SearchScratch,
 ) -> QueryResponse {
     let arts = snap.artifacts();
-    let words = if req.modalities.words {
-        snap.top_k(NodeType::Word, unit, req.k, None, scratch)
-            .into_iter()
-            .map(|(n, s)| {
-                let kw = KeywordId(arts.space().local_of(n));
-                (arts.vocab().word(kw).to_string(), s)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let times = if req.modalities.times {
-        snap.top_k(NodeType::Time, unit, req.k, None, scratch)
-            .into_iter()
-            .map(|(n, s)| {
-                let local = arts.space().local_of(n);
-                (
-                    arts.temporal_hotspots().center(hotspot::TemporalHotspotId(local)),
-                    s,
-                )
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let places: Vec<(GeoPoint, f64)> = if req.modalities.places {
-        snap.top_k(NodeType::Location, unit, req.k, None, scratch)
-            .into_iter()
-            .map(|(n, s)| {
-                let local = arts.space().local_of(n);
-                (
-                    arts.spatial_hotspots().center(hotspot::SpatialHotspotId(local)),
-                    s,
-                )
-            })
-            .collect()
-    } else {
-        Vec::new()
+    let local = |n| arts.space().local_of(n);
+    let (temporal, spatial) = (arts.temporal_hotspots(), arts.spatial_hotspots());
+    let mut top = |wanted: bool, ty| {
+        if wanted {
+            snap.top_k(ty, unit, key.k, None, scratch)
+        } else {
+            Vec::new()
+        }
     };
     QueryResponse {
-        query: desc,
         epoch: snap.epoch(),
         from_cache: false,
-        words,
-        times,
-        places,
+        words: top(key.modalities.words, NodeType::Word)
+            .into_iter()
+            .map(|(n, s)| (arts.vocab().word(KeywordId(local(n))).to_string(), s))
+            .collect(),
+        times: top(key.modalities.times, NodeType::Time)
+            .into_iter()
+            .map(|(n, s)| (temporal.center(TemporalHotspotId(local(n))), s))
+            .collect(),
+        places: top(key.modalities.places, NodeType::Location)
+            .into_iter()
+            .map(|(n, s)| (spatial.center(SpatialHotspotId(local(n))), s))
+            .collect(),
     }
 }
 
@@ -340,7 +287,7 @@ mod tests {
     use crate::query::ModalityMask;
     use actor_core::ActorConfig;
     use mobility::synth::{generate, DatasetPreset};
-    use mobility::{CorpusSplit, SplitSpec};
+    use mobility::{CorpusSplit, GeoPoint, SplitSpec};
 
     fn model() -> TrainedModel {
         let (corpus, _) = generate(DatasetPreset::Foursquare.small_config(51)).unwrap();
@@ -474,7 +421,6 @@ mod tests {
         m.store_mut().centers.row_mut(node.idx())[0] += 0.5;
         let delta = StoreDelta {
             centers: vec![node.0],
-            contexts: vec![],
         };
         engine.publish_delta(&m, &delta);
         assert_eq!(engine.epoch(), 2);

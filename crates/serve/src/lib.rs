@@ -22,7 +22,8 @@
 //!   hand-rolled from a mutex around an `Arc`): queries clone the current
 //!   snapshot under a brief lock; publishes swap a new one in without
 //!   stalling in-flight readers.
-//! * [`cache`] — a sharded LRU keyed by quantized query vectors; the
+//! * [`cache`] — a sharded LRU keyed by the request resolved to hotspot
+//!   and word nodes, looked up before any query vector is built; the
 //!   snapshot epoch lives in the key, so hot-swaps invalidate for free.
 //! * [`query`] / [`engine`] — the typed request/response API and the
 //!   [`QueryEngine`] tying it all together. The engine implements

@@ -3,14 +3,18 @@
 //! A [`QueryRequest`] names *what is observed* (a point, a second-of-day,
 //! a keyword, or any combination — the paper's "what/where/when" queries)
 //! and *what to return* (which modalities, how many results). The engine
-//! turns it into one unit query vector and answers from the current
-//! snapshot's per-modality indexes.
+//! resolves it to graph nodes, and on a cache miss turns those into one
+//! unit query vector and answers from the current snapshot's per-modality
+//! indexes.
 
+use std::fmt;
+
+use mobility::types::format_time_of_day;
 use mobility::GeoPoint;
 
 /// Which result modalities a query wants back. Skipping a modality skips
 /// its index walk entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModalityMask {
     /// Return top keywords.
     pub words: bool,
@@ -27,11 +31,6 @@ impl ModalityMask {
         times: true,
         places: true,
     };
-
-    /// Bit encoding used in cache keys.
-    pub(crate) fn bits(self) -> u8 {
-        (self.words as u8) | (self.times as u8) << 1 | (self.places as u8) << 2
-    }
 }
 
 impl Default for ModalityMask {
@@ -61,6 +60,49 @@ pub enum QueryKind {
         /// Observed keywords (may be empty if another part is set).
         words: Vec<String>,
     },
+}
+
+impl QueryKind {
+    /// The observed second-of-day, point and keywords.
+    pub(crate) fn parts(&self) -> (Option<f64>, Option<GeoPoint>, &[String]) {
+        match self {
+            Self::Spatial(p) => (None, Some(*p), &[]),
+            Self::Temporal(s) => (Some(*s), None, &[]),
+            Self::Keyword(w) => (None, None, std::slice::from_ref(w)),
+            Self::Composite {
+                second_of_day,
+                point,
+                words,
+            } => (*second_of_day, *point, words),
+        }
+    }
+}
+
+/// A human-readable restatement: `location (34.0000, -118.2000)`, `time
+/// 22:00:00`, `keyword "beach"`, or a composite's parts joined by ` + `.
+impl fmt::Display for QueryKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Spatial(_) => f.write_str("location ")?,
+            Self::Temporal(_) => f.write_str("time ")?,
+            Self::Keyword(w) => return write!(f, "keyword {w:?}"),
+            Self::Composite { .. } => {}
+        }
+        let (second_of_day, point, words) = self.parts();
+        let mut sep = "";
+        if let Some(s) = second_of_day {
+            f.write_str(&format_time_of_day(s))?;
+            sep = " + ";
+        }
+        if let Some(p) = point {
+            write!(f, "{sep}({:.4}, {:.4})", p.lat, p.lon)?;
+            sep = " + ";
+        }
+        if !words.is_empty() {
+            write!(f, "{sep}{}", words.join(" "))?;
+        }
+        Ok(())
+    }
 }
 
 /// A complete request: what was observed, what to return.
@@ -134,11 +176,10 @@ impl QueryRequest {
 
 /// The engine's answer. Times and places come back as raw hotspot centers
 /// (`second-of-day`, [`GeoPoint`]); presentation-layer formatting belongs
-/// to callers (see `eval::neighbor`).
+/// to callers (see `eval::neighbor`), which describe a request by its
+/// [`QueryKind`]'s `Display`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
-    /// Human-readable restatement of the query.
-    pub query: String,
     /// Epoch of the snapshot that answered.
     pub epoch: u64,
     /// True when the answer came from the query cache.
@@ -193,28 +234,31 @@ mod tests {
     }
 
     #[test]
-    fn mask_bits_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
-        for words in [false, true] {
-            for times in [false, true] {
-                for places in [false, true] {
-                    seen.insert(
-                        ModalityMask {
-                            words,
-                            times,
-                            places,
-                        }
-                        .bits(),
-                    );
-                }
-            }
-        }
-        assert_eq!(seen.len(), 8);
+    fn kinds_describe_themselves() {
+        let p = GeoPoint::new(34.0, -118.2);
+        assert_eq!(
+            QueryKind::Spatial(p).to_string(),
+            "location (34.0000, -118.2000)"
+        );
+        assert_eq!(
+            QueryKind::Temporal(22.0 * 3600.0).to_string(),
+            "time 22:00:00"
+        );
+        assert_eq!(
+            QueryKind::Keyword("beach".into()).to_string(),
+            "keyword \"beach\""
+        );
+        let q = QueryRequest::composite(Some(9.0 * 3600.0), Some(p), vec!["a".into(), "b".into()]);
+        assert_eq!(q.kind.to_string(), "09:00:00 + (34.0000, -118.2000) + a b");
+        let q = QueryRequest::composite(None, None, vec!["coffee".into()]);
+        assert_eq!(q.kind.to_string(), "coffee");
     }
 
     #[test]
     fn errors_display_usefully() {
-        assert!(QueryError::UnknownWord("zzz".into()).to_string().contains("zzz"));
+        assert!(QueryError::UnknownWord("zzz".into())
+            .to_string()
+            .contains("zzz"));
         assert!(QueryError::EmptyQuery.to_string().contains("no modality"));
     }
 }

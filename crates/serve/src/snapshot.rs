@@ -173,8 +173,8 @@ impl Snapshot {
     ///
     /// Falls back to a full [`Snapshot::build`] when the model does not
     /// descend from `prev` — different artifact `Arc` (a new training
-    /// run) or a different store shape. Context rows in the delta are
-    /// ignored: serving reads center rows only.
+    /// run) or a different store shape. A delta lists center rows only,
+    /// the only rows serving reads.
     pub fn apply_delta(
         prev: &Snapshot,
         model: &TrainedModel,
@@ -449,7 +449,6 @@ mod tests {
         m.store_mut().centers.row_mut(node.idx()).fill(0.25);
         let delta = StoreDelta {
             centers: vec![node.0],
-            contexts: vec![],
         };
 
         let next = Snapshot::apply_delta(&snap, &m, &delta, &IndexParams::default(), 2);
@@ -475,10 +474,8 @@ mod tests {
         // A second fit: same corpus shape, different artifact Arc.
         let other = model();
         assert!(!Arc::ptr_eq(m.artifacts(), other.artifacts()));
-        let all: Vec<u32> = (0..other.space().len() as u32).collect();
         let delta = StoreDelta {
-            centers: all.clone(),
-            contexts: all,
+            centers: (0..other.space().len() as u32).collect(),
         };
         let next = Snapshot::apply_delta(&snap, &other, &delta, &IndexParams::default(), 2);
         assert!(Arc::ptr_eq(next.artifacts(), other.artifacts()));

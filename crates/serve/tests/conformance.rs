@@ -11,7 +11,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use serve::hnsw::SearchScratch;
 use serve::snapshot::{IndexParams, Snapshot};
 use serve::testkit::{probe_near, synthetic_model};
-use serve::{EngineParams, QueryEngine, QueryRequest};
+use serve::{EngineParams, ModalityMask, QueryEngine, QueryRequest, QueryResponse};
 use stgraph::{NodeId, NodeType};
 
 /// Recall@10 of the ANN path against the brute-force reference, per
@@ -316,4 +316,83 @@ fn ann_engine_and_exact_engine_agree_on_top_results() {
         agree as f64 / total as f64 >= 0.95,
         "top-1 agreement {agree}/{total}"
     );
+}
+
+/// Every result of a response, scores and coordinates as raw bits.
+type ResponseBits = (Vec<(String, u64)>, Vec<[u64; 2]>, Vec<[u64; 3]>);
+
+fn response_bits(r: &QueryResponse) -> ResponseBits {
+    (
+        r.words
+            .iter()
+            .map(|(w, s)| (w.clone(), s.to_bits()))
+            .collect(),
+        r.times
+            .iter()
+            .map(|(t, s)| [t.to_bits(), s.to_bits()])
+            .collect(),
+        r.places
+            .iter()
+            .map(|(p, s)| [p.lat.to_bits(), p.lon.to_bits(), s.to_bits()])
+            .collect(),
+    )
+}
+
+/// On an all-HNSW snapshot, the second ask of each of 210 mixed requests
+/// is a cache hit, and the hit carries exactly the answer a fresh engine
+/// computes on a miss: the same words, times and places, score for score
+/// down to the bit. Each request has its own `(k, modalities)` pair, so no
+/// two share a cache entry.
+#[test]
+fn cache_hits_equal_fresh_misses_bit_for_bit() {
+    let model = synthetic_model(256, 16, 23);
+    let params = EngineParams {
+        index: IndexParams {
+            ann_threshold: 0,
+            ..IndexParams::default()
+        },
+        ..EngineParams::default()
+    };
+    let masks: Vec<ModalityMask> = (1u8..8)
+        .map(|m| ModalityMask {
+            words: m & 1 != 0,
+            times: m & 2 != 0,
+            places: m & 4 != 0,
+        })
+        .collect();
+    let requests: Vec<QueryRequest> = (0..210usize)
+        .map(|i| {
+            let point = GeoPoint::new(
+                33.5 + (i % 37) as f64 * 0.027,
+                -118.5 + (i % 23) as f64 * 0.043,
+            );
+            let second = ((i * 4111) % 86_400) as f64;
+            let word = |j: usize| format!("word{:05}", (i * 31 + j * 7) % 256);
+            let req = match i % 4 {
+                0 => QueryRequest::spatial(point, 0),
+                1 => QueryRequest::temporal(second, 0),
+                2 => QueryRequest::keyword(word(0), 0),
+                _ => QueryRequest::composite(
+                    (i % 3 != 1).then_some(second),
+                    (i % 5 != 0).then_some(point),
+                    (0..i % 3).map(word).collect(),
+                ),
+            };
+            req.with_k(1 + i / masks.len())
+                .with_modalities(masks[i % masks.len()])
+        })
+        .collect();
+
+    let cached = QueryEngine::new(&model, params);
+    let fresh = QueryEngine::new(&model, params);
+    for req in &requests {
+        let first = cached.query(req).unwrap();
+        let second = cached.query(req).unwrap();
+        assert!(second.from_cache, "{req:?}: the repeat must hit");
+        let miss = fresh.query(req).unwrap();
+        assert!(!miss.from_cache, "{req:?}: keys must be distinct");
+        assert_eq!(response_bits(&first), response_bits(&miss), "{req:?}");
+        assert_eq!(response_bits(&second), response_bits(&miss), "{req:?}");
+    }
+    assert_eq!(cached.stats().cache_hits, requests.len() as u64);
 }

@@ -10,8 +10,9 @@ use actor_st::core::{ModelSink, OnlineActor, OnlineParams};
 use actor_st::prelude::*;
 use mobility::types::format_time_of_day;
 
-fn show(r: &QueryResponse) {
-    println!("  [{}] epoch {}{}", r.query, r.epoch, if r.from_cache { " (cached)" } else { "" });
+/// Prints a request (described by its kind) and the engine's answer.
+fn show(req: &QueryRequest, r: &QueryResponse) {
+    println!("  [{}] epoch {}{}", req.kind, r.epoch, if r.from_cache { " (cached)" } else { "" });
     let words: Vec<String> = r.words.iter().take(5).map(|(w, s)| format!("{w} {s:.2}")).collect();
     println!("    words : {}", words.join(", "));
     if let Some((s, score)) = r.times.first() {
@@ -39,10 +40,12 @@ fn main() {
 
     println!("the four query kinds:");
     let spatial = QueryRequest::spatial(GeoPoint::new(40.73, -73.99), 5);
-    show(&engine.query(&spatial).expect("spatial"));
-    show(&engine.query(&QueryRequest::temporal(20.0 * 3600.0, 5)).expect("temporal"));
-    if let Ok(r) = engine.query(&QueryRequest::keyword("coffee", 5)) {
-        show(&r);
+    show(&spatial, &engine.query(&spatial).expect("spatial"));
+    let temporal = QueryRequest::temporal(20.0 * 3600.0, 5);
+    show(&temporal, &engine.query(&temporal).expect("temporal"));
+    let keyword = QueryRequest::keyword("coffee", 5);
+    if let Ok(r) = engine.query(&keyword) {
+        show(&keyword, &r);
     }
     let composite = QueryRequest::composite(
         Some(9.0 * 3600.0),
@@ -51,7 +54,7 @@ fn main() {
     )
     .with_k(5);
     if let Ok(r) = engine.query(&composite) {
-        show(&r);
+        show(&composite, &r);
     }
 
     // Ask the same thing twice: the second answer is a cache hit.
@@ -59,23 +62,27 @@ fn main() {
     println!("\nrepeat of the first query: from_cache = {}", again.from_cache);
 
     // Streaming updates publish straight into the engine: the engine is a
-    // ModelSink, so every `publish_every` observed records the online
-    // trainer hands it a dirty-row delta and the epoch ticks — no full
-    // model copies in the steady state.
-    println!("\nstreaming 600 records with the engine attached as a sink ...");
+    // ModelSink, so one full publish at attach and then every 20 observed
+    // records the online trainer hands it a dirty-row delta and the epoch
+    // ticks — no full model copies in the steady state.
+    println!(
+        "\nstreaming the {} test records with the engine attached as a sink ...",
+        split.test.len()
+    );
     let sink: Arc<dyn ModelSink> = engine.clone();
     let mut online = OnlineActor::new(model, OnlineParams::default());
-    online.attach_sink(sink, 300);
-    for &rid in split.test.iter().take(600) {
+    online.attach_sink(sink, 20);
+    for &rid in &split.test {
         online.observe(corpus.record(rid));
     }
     println!("engine now at epoch {} (publishes happen mid-query-load,", engine.epoch());
     println!("in-flight readers keep the snapshot they started with)");
 
-    // Old cached answers are epoch-keyed, so the swap invalidated them.
+    // Cache keys carry the snapshot epoch, so the swap invalidated the
+    // old answers.
     let fresh = engine.query(&spatial).expect("post-swap query");
     println!("\nsame spatial query after the swap:");
-    show(&fresh);
+    show(&spatial, &fresh);
 
     let stats = engine.stats();
     println!(

@@ -20,8 +20,9 @@ cargo test -q --test resilience
 echo "== save/load example (a saved model is a sealed ACTORCP1 file) =="
 cargo run -q --release --example train_save_load
 
-echo "== serving conformance + load smoke =="
+echo "== serving conformance + walkthrough example + load smoke =="
 cargo test -q -p actor-serve --test conformance
+cargo run -q --release --example serve_queries
 cargo run -q -p actor-bench --release --bin serve_load -- --fast
 
 echo "== publish latency smoke (full rebuild vs delta apply) =="
