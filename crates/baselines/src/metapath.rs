@@ -70,8 +70,7 @@ impl TypedTransitions {
     fn build(graph: &ActivityGraph) -> Self {
         let space = graph.space();
         let n = space.len();
-        let mut tables: Vec<[Transition; 4]> =
-            (0..n).map(|_| [None, None, None, None]).collect();
+        let mut tables: Vec<[Transition; 4]> = (0..n).map(|_| [None, None, None, None]).collect();
         for (node_idx, table_row) in tables.iter_mut().enumerate() {
             let node = NodeId(node_idx as u32);
             let from_ty = space.type_of(node);
@@ -117,14 +116,12 @@ pub fn train_metapath2vec(
     // Start nodes: all vertices of the path's first type that can step.
     let starts: Vec<NodeId> = space
         .nodes_of(mp.path[0])
-        .filter(|&n| {
-            transitions.tables[n.idx()][type_index(mp.path[1 % mp.path.len()])].is_some()
-        })
+        .filter(|&n| transitions.tables[n.idx()][type_index(mp.path[1 % mp.path.len()])].is_some())
         .collect();
 
     // Negative table over all vertices by total weighted degree^{3/4}.
-    let noise = NegativeTable::over_edges(space.len(), &flatten_edges(graph))
-        .expect("graph has edges");
+    let noise =
+        NegativeTable::over_edges(space.len(), &flatten_edges(graph)).expect("graph has edges");
 
     let mut init_rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(params.seed);
     let store = EmbeddingStore::init(space.len(), params.dim, &mut init_rng);
@@ -133,8 +130,7 @@ pub fn train_metapath2vec(
     // pair costs (negatives+1) gradient updates versus the other
     // methods' (K+1); scale the walk count so total gradient work —
     // not pair count — matches the shared budget.
-    let work_ratio =
-        (mp.negatives + 1) as u64 / (params.sgd.negatives + 1).max(1) as u64;
+    let work_ratio = (mp.negatives + 1) as u64 / (params.sgd.negatives + 1).max(1) as u64;
     let pairs_per_walk = (mp.walk_length * mp.window) as u64 * work_ratio.max(1);
     let n_walks = (params.samples / pairs_per_walk).max(1);
 

@@ -56,7 +56,10 @@ impl GaussianRegions {
                 }
             })
             .collect();
-        let priors = counts.iter().map(|&c| (c as f64 + 1.0) / (total + n as f64)).collect();
+        let priors = counts
+            .iter()
+            .map(|&c| (c as f64 + 1.0) / (total + n as f64))
+            .collect();
         Self {
             centers: hotspots.centers().to_vec(),
             sigmas,
@@ -381,7 +384,11 @@ mod tests {
         let (_, _, core) = fitted();
         let r = &core.regions;
         assert!(!r.is_empty());
-        assert!(r.len() < 80, "coarse bandwidth should merge hotspots: {}", r.len());
+        assert!(
+            r.len() < 80,
+            "coarse bandwidth should merge hotspots: {}",
+            r.len()
+        );
         let total: f64 = (0..r.len()).map(|i| r.priors[i]).sum();
         assert!((total - 1.0).abs() < 1e-9);
         for i in 0..r.len() {

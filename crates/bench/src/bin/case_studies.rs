@@ -16,7 +16,11 @@ fn main() {
     let flags = Flags::from_env();
     println!("== Case studies (Figs. 4-8, Table 3): ACTOR vs CrossMap ==\n");
 
-    let d = dataset(mobility::synth::DatasetPreset::Tweet, flags.seed, flags.fast);
+    let d = dataset(
+        mobility::synth::DatasetPreset::Tweet,
+        flags.seed,
+        flags.fast,
+    );
     let zoo_cfg = if flags.fast {
         ZooConfig::fast(flags.threads, flags.seed)
     } else {
@@ -81,7 +85,11 @@ fn main() {
             }
             table.row([
                 cand,
-                if row.is_ground_truth { "*".into() } else { String::new() },
+                if row.is_ground_truth {
+                    "*".into()
+                } else {
+                    String::new()
+                },
                 row.rank_a.to_string(),
                 row.rank_b.to_string(),
             ]);

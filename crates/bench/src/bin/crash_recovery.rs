@@ -17,7 +17,8 @@ use mobility::{CorpusSplit, SplitSpec};
 use resilience::FaultPlan;
 
 fn ckpt_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("actor-crash-recovery-{tag}-{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("actor-crash-recovery-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -81,7 +82,8 @@ fn main() {
 
         let c = cpu_seconds();
         let t = Instant::now();
-        let (_, _, res) = fit_checkpointed(&corpus, &split.train, &config, &opts).expect("ckpt fit");
+        let (_, _, res) =
+            fit_checkpointed(&corpus, &split.train, &config, &opts).expect("ckpt fit");
         let ckpt = t.elapsed().as_secs_f64();
         best_ckpt = best_ckpt.min(ckpt);
         cpu_ckpt += cpu_seconds().zip(c).map_or(0.0, |(b, a)| b - a);

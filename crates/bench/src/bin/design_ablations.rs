@@ -51,7 +51,10 @@ fn main() {
     println!("--- dimension sweep (paper uses d = 300) ---");
     let mut t = Table::new(["d", "Text", "Location", "Time", "train s"]);
     for dim in [32usize, 64, 128, 256] {
-        let cfg = ActorConfig { dim, ..base.clone() };
+        let cfg = ActorConfig {
+            dim,
+            ..base.clone()
+        };
         let (tx, lo, ti, rep) = eval_config(&d, &cfg, flags.seed);
         t.row([
             dim.to_string(),

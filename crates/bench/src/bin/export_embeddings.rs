@@ -16,7 +16,11 @@ use stgraph::NodeType;
 fn main() {
     let flags = Flags::from_env();
     eprintln!("fitting ACTOR on synth-tweet ...");
-    let d = dataset(mobility::synth::DatasetPreset::Tweet, flags.seed, flags.fast);
+    let d = dataset(
+        mobility::synth::DatasetPreset::Tweet,
+        flags.seed,
+        flags.fast,
+    );
     let cfg = if flags.fast {
         ZooConfig::fast(flags.threads, flags.seed)
     } else {

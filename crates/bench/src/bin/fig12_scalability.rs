@@ -21,7 +21,11 @@ use stgraph::{ActivityGraphBuilder, BuildOptions, UserGraph};
 
 /// Fits ACTOR and returns the SGD-loop seconds (hotspots/graphs excluded,
 /// matching the paper's "running time" which is the training loop).
-fn train_seconds(corpus: &mobility::Corpus, train: &[mobility::RecordId], cfg: &ActorConfig) -> f64 {
+fn train_seconds(
+    corpus: &mobility::Corpus,
+    train: &[mobility::RecordId],
+    cfg: &ActorConfig,
+) -> f64 {
     let (_, report) = actor_core::fit(corpus, train, cfg).expect("fit");
     report.train_seconds
 }
@@ -31,7 +35,11 @@ fn main() {
     let flags = Flags::from_env();
     println!("== Fig. 12: scalability of ACTOR on synth-tweet ==\n");
 
-    let d = dataset(mobility::synth::DatasetPreset::Tweet, flags.seed, flags.fast);
+    let d = dataset(
+        mobility::synth::DatasetPreset::Tweet,
+        flags.seed,
+        flags.fast,
+    );
     let base = if flags.fast {
         ZooConfig::fast(1, flags.seed)
     } else {
@@ -136,8 +144,7 @@ fn main() {
     for threads in 1..=4 {
         let guard = par::override_threads(threads);
         let t0 = Instant::now();
-        let spatial =
-            SpatialHotspots::detect(&points, MeanShiftParams::with_bandwidth(0.01), 3);
+        let spatial = SpatialHotspots::detect(&points, MeanShiftParams::with_bandwidth(0.01), 3);
         let temporal =
             TemporalHotspots::detect(&seconds, MeanShiftParams::with_bandwidth(1800.0), 3);
         let builder =
@@ -154,7 +161,10 @@ fn main() {
             format!("{secs:.2}"),
             format!("{:.2}", p1 / secs.max(1e-9)),
         ]);
-        eprintln!("12d {threads} threads: {secs:.2}s ({} edges)", graph.n_edges());
+        eprintln!(
+            "12d {threads} threads: {secs:.2}s ({} edges)",
+            graph.n_edges()
+        );
     }
     println!("{}", td.render());
     println!("expected: near-linear speedup with identical outputs (determinism suite)");

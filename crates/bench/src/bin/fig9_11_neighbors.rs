@@ -65,7 +65,11 @@ fn main() {
     let flags = Flags::from_env();
     println!("== Neighbor search (Figs. 9-11): ACTOR vs CrossMap on synth-tweet ==\n");
 
-    let d = dataset(mobility::synth::DatasetPreset::Tweet, flags.seed, flags.fast);
+    let d = dataset(
+        mobility::synth::DatasetPreset::Tweet,
+        flags.seed,
+        flags.fast,
+    );
     let zoo_cfg = if flags.fast {
         ZooConfig::fast(flags.threads, flags.seed)
     } else {
@@ -109,10 +113,7 @@ fn main() {
 
     // Fig. 11 analogue: a venue keyword (the paper queries a sports pub).
     let venue = "stadium_venue_0_00";
-    match (
-        actor_search.textual(venue, k),
-        cm_search.textual(venue, k),
-    ) {
+    match (actor_search.textual(venue, k), cm_search.textual(venue, k)) {
         (Some(a), Some(b)) => {
             print_side_by_side(&format!("Fig. 11: textual query \"{venue}\""), &a, &b);
             println!("expected: neighbors name the venue's activity (game/score/team...)\nand nearby hotspots.\n");

@@ -13,7 +13,10 @@ use embed::{LineOrder, LineParams, LineTrainer, SgdParams};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let samples: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(8_000_000);
+    let samples: u64 = args
+        .next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(8_000_000);
     let threads: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
 
     // A 1000-vertex ring with chords: big enough that the alias tables

@@ -26,8 +26,7 @@ use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::synth::{generate, DatasetPreset};
 use mobility::{Corpus, GeoPoint, RecordId};
 use stgraph::{
-    ActivityGraphBuilder, BuildOptions, EdgeSampler, EdgeType, MetaGraph, NegativeTable,
-    UserGraph,
+    ActivityGraphBuilder, BuildOptions, EdgeSampler, EdgeType, MetaGraph, NegativeTable, UserGraph,
 };
 
 /// Cheap per-run invariants; the determinism suite holds the strong
@@ -47,7 +46,10 @@ fn run_front_end(corpus: &Corpus, ids: &[RecordId]) -> (f64, Shape) {
     let t0 = Instant::now();
 
     let points: Vec<GeoPoint> = ids.iter().map(|&id| corpus.record(id).location).collect();
-    let seconds: Vec<f64> = ids.iter().map(|&id| corpus.record(id).second_of_day()).collect();
+    let seconds: Vec<f64> = ids
+        .iter()
+        .map(|&id| corpus.record(id).second_of_day())
+        .collect();
     let spatial = SpatialHotspots::detect(&points, MeanShiftParams::with_bandwidth(0.01), 3);
     let temporal = TemporalHotspots::detect(&seconds, MeanShiftParams::with_bandwidth(1800.0), 3);
 
@@ -67,7 +69,10 @@ fn run_front_end(corpus: &Corpus, ids: &[RecordId]) -> (f64, Shape) {
             }
         }
     }
-    assert!(tables >= 4, "degenerate corpus: only {tables} sampler tables");
+    assert!(
+        tables >= 4,
+        "degenerate corpus: only {tables} sampler tables"
+    );
 
     let m4 = MetaGraph::M4.count_instances(&graph, &user_graph);
 

@@ -48,7 +48,11 @@ fn drift_rows(model: &mut TrainedModel, rows: usize, rng: &mut StdRng) -> StoreD
 fn main() {
     let _obs = ObsScope::start("publish_latency");
     let flags = Flags::from_env();
-    let (n, dim, reps) = if flags.fast { (2_000, 32, 2) } else { (12_000, 64, 5) };
+    let (n, dim, reps) = if flags.fast {
+        (2_000, 32, 2)
+    } else {
+        (12_000, 64, 5)
+    };
     println!(
         "== publish_latency: {n} nodes/modality, dim {dim}{} ==",
         if flags.fast { " (fast)" } else { "" }
@@ -58,13 +62,19 @@ fn main() {
     let t0 = Instant::now();
     let mut model = synthetic_model(n, dim, flags.seed);
     let total = model.space().len();
-    println!("model built in {:.2}s ({total} nodes total)", t0.elapsed().as_secs_f64());
+    println!(
+        "model built in {:.2}s ({total} nodes total)",
+        t0.elapsed().as_secs_f64()
+    );
 
     let params = IndexParams::default();
     let t0 = Instant::now();
     let mut snap = Snapshot::build(&model, &params, 1);
     let base_build = t0.elapsed();
-    println!("baseline full build: {:.1} ms", base_build.as_secs_f64() * 1e3);
+    println!(
+        "baseline full build: {:.1} ms",
+        base_build.as_secs_f64() * 1e3
+    );
 
     for &fraction in &[0.001f64, 0.01, 0.1] {
         let rows = ((total as f64 * fraction) as usize).max(1);

@@ -75,7 +75,10 @@ fn index_benchmark(
         let mut total = 0usize;
         for (a, e) in ann.iter().zip(&exact) {
             total += e.len();
-            hit += e.iter().filter(|(id, _)| a.iter().any(|(aid, _)| aid == id)).count();
+            hit += e
+                .iter()
+                .filter(|(id, _)| a.iter().any(|(aid, _)| aid == id))
+                .count();
         }
         let recall = hit as f64 / total.max(1) as f64;
         let speedup = exact_time.as_secs_f64() / ann_time.as_secs_f64().max(1e-12);
@@ -213,7 +216,10 @@ fn main() {
         snap.is_ann(NodeType::Time),
         snap.is_ann(NodeType::Location),
     );
-    assert!(snap.is_ann(NodeType::Word), "corpus must exceed ANN threshold");
+    assert!(
+        snap.is_ann(NodeType::Word),
+        "corpus must exceed ANN threshold"
+    );
 
     index_benchmark(&model, &snap, n, probes, flags.seed ^ 0xBEEF, !flags.fast);
     drop(snap);

@@ -17,7 +17,13 @@ fn main() {
     println!("== Significance: ACTOR vs CrossMap(U), paired on shared queries ==\n");
 
     let mut table = Table::new([
-        "dataset", "task", "ACTOR", "CrossMap(U)", "diff 95% CI", "p", "significant",
+        "dataset",
+        "task",
+        "ACTOR",
+        "CrossMap(U)",
+        "diff 95% CI",
+        "p",
+        "significant",
     ]);
     for preset in DatasetPreset::ALL {
         let d = dataset(preset, flags.seed, flags.fast);
@@ -42,14 +48,7 @@ fn main() {
             ..EvalParams::default()
         };
         for task in PredictionTask::ALL {
-            let cmp = compare_paired(
-                &actor,
-                &crossmap,
-                &d.corpus,
-                &d.split.test,
-                task,
-                &params,
-            );
+            let cmp = compare_paired(&actor, &crossmap, &d.corpus, &d.split.test, task, &params);
             table.row([
                 d.corpus.name.clone(),
                 task.label().to_string(),

@@ -16,8 +16,17 @@ fn main() {
     println!("== Table 1: statistics of datasets (synthetic presets) ==\n");
 
     let mut table = Table::new([
-        "DATA", "#Tweets", "#Train", "#Valid", "#Test", "|V|", "|E|", "#Spatial", "#Temporal",
-        "#Word", "#User",
+        "DATA",
+        "#Tweets",
+        "#Train",
+        "#Valid",
+        "#Test",
+        "|V|",
+        "|E|",
+        "#Spatial",
+        "#Temporal",
+        "#Word",
+        "#User",
     ]);
     for preset in DatasetPreset::ALL {
         let d = dataset(preset, flags.seed, flags.fast);
@@ -51,7 +60,14 @@ fn main() {
 
     println!("Paper's Table 1 (original datasets, for scale comparison):\n");
     let mut ptable = Table::new([
-        "DATA", "#Tweets", "|V|", "|E|", "#Spatial", "#Temporal", "#Word", "#User",
+        "DATA",
+        "#Tweets",
+        "|V|",
+        "|E|",
+        "#Spatial",
+        "#Temporal",
+        "#Word",
+        "#User",
     ]);
     for &(name, tweets, v, e, sp, te, w, u) in paper::TABLE1 {
         ptable.row([

@@ -31,8 +31,7 @@ fn main() {
                     variant.label(),
                     d.corpus.name
                 );
-                let (model, _) =
-                    actor_core::fit(&d.corpus, &d.split.train, &config).expect("fit");
+                let (model, _) = actor_core::fit(&d.corpus, &d.split.train, &config).expect("fit");
                 let eval_params = EvalParams {
                     seed: run_seed ^ 0xE7A1,
                     ..EvalParams::default()

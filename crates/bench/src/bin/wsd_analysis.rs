@@ -52,8 +52,14 @@ fn margin(model: &TrainedModel, query: &[&str], a: GeoPoint, b: GeoPoint) -> Opt
 fn main() {
     let flags = Flags::from_env();
     println!("== Word-sense disambiguation analysis (synth-tweet) ==\n");
-    let d = dataset(mobility::synth::DatasetPreset::Tweet, flags.seed, flags.fast);
-    let bbox = mobility::synth::DatasetPreset::Tweet.config(flags.seed).bbox;
+    let d = dataset(
+        mobility::synth::DatasetPreset::Tweet,
+        flags.seed,
+        flags.fast,
+    );
+    let bbox = mobility::synth::DatasetPreset::Tweet
+        .config(flags.seed)
+        .bbox;
     let base = if flags.fast {
         ZooConfig::fast(flags.threads, flags.seed)
     } else {
@@ -62,8 +68,7 @@ fn main() {
     .actor;
 
     eprintln!("fitting ACTOR-complete ...");
-    let (complete, _) =
-        actor_core::fit(&d.corpus, &d.split.train, &base).expect("fit complete");
+    let (complete, _) = actor_core::fit(&d.corpus, &d.split.train, &base).expect("fit complete");
     eprintln!("fitting ACTOR w/o intra ...");
     let (ablated, _) = actor_core::fit(
         &d.corpus,
@@ -89,7 +94,8 @@ fn main() {
         let tb = theme_by_name(b_name);
         // Both senses must be in the generated world (first n_activities
         // themes) for the comparison to exist.
-        let in_world = |t: &Theme| THEMES.iter().position(|x| x.name == t.name).unwrap() < n_activities;
+        let in_world =
+            |t: &Theme| THEMES.iter().position(|x| x.name == t.name).unwrap() < n_activities;
         if !in_world(ta) || !in_world(tb) {
             continue;
         }

@@ -33,7 +33,10 @@ impl Drop for ObsScope {
         // Stop the reporter first so its final snapshot lands in the JSONL
         // before the run summary line.
         drop(self.reporter.take());
-        eprintln!("\n-- telemetry: {} ({:.1}s) --", self.label, telemetry.wall_seconds);
+        eprintln!(
+            "\n-- telemetry: {} ({:.1}s) --",
+            self.label, telemetry.wall_seconds
+        );
         eprint!("{}", telemetry.render_tree());
         if let Ok(path) = std::env::var(obs::ENV_JSON) {
             let appended = std::fs::OpenOptions::new()

@@ -68,11 +68,12 @@ pub fn train_zoo(corpus: &Corpus, train_ids: &[RecordId], config: &ZooConfig) ->
         });
     };
 
-    let timed = |f: &mut dyn FnMut() -> Box<dyn CrossModalModel>| -> (f64, Box<dyn CrossModalModel>) {
-        let t = std::time::Instant::now();
-        let m = f();
-        (t.elapsed().as_secs_f64(), m)
-    };
+    let timed =
+        |f: &mut dyn FnMut() -> Box<dyn CrossModalModel>| -> (f64, Box<dyn CrossModalModel>) {
+            let t = std::time::Instant::now();
+            let m = f();
+            (t.elapsed().as_secs_f64(), m)
+        };
 
     let (s, m) = timed(&mut || {
         Box::new(train_lgta(
@@ -104,13 +105,16 @@ pub fn train_zoo(corpus: &Corpus, train_ids: &[RecordId], config: &ZooConfig) ->
     });
     push("metapath2vec", s, m);
 
-    let (s, m) = timed(&mut || {
-        Box::new(train_line(corpus, &substrate, LineVariant::Plain, &base))
-    });
+    let (s, m) = timed(&mut || Box::new(train_line(corpus, &substrate, LineVariant::Plain, &base)));
     push("LINE", s, m);
 
     let (s, m) = timed(&mut || {
-        Box::new(train_line(corpus, &substrate, LineVariant::WithUsers, &base))
+        Box::new(train_line(
+            corpus,
+            &substrate,
+            LineVariant::WithUsers,
+            &base,
+        ))
     });
     push("LINE(U)", s, m);
 

@@ -74,8 +74,7 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let set: std::collections::HashSet<_> =
-            Variant::ALL.iter().map(|v| v.label()).collect();
+        let set: std::collections::HashSet<_> = Variant::ALL.iter().map(|v| v.label()).collect();
         assert_eq!(set.len(), 3);
     }
 }

@@ -72,7 +72,8 @@ impl ModelArtifacts {
 
     /// Vertex for a raw location: its nearest spatial hotspot.
     pub fn location_node(&self, p: GeoPoint) -> NodeId {
-        self.space.node(NodeType::Location, self.spatial.assign(p).0)
+        self.space
+            .node(NodeType::Location, self.spatial.assign(p).0)
     }
 
     /// Vertex for a raw timestamp: its nearest temporal hotspot (wrapped
@@ -85,7 +86,8 @@ impl ModelArtifacts {
 
     /// Vertex for a second-of-day value.
     pub fn time_of_day_node(&self, seconds: f64) -> NodeId {
-        self.space.node(NodeType::Time, self.temporal.assign(seconds).0)
+        self.space
+            .node(NodeType::Time, self.temporal.assign(seconds).0)
     }
 
     /// Vertex for a keyword id.

@@ -91,7 +91,8 @@ mod tests {
                 self.full.fetch_add(1, Ordering::SeqCst);
             }
             fn publish_delta(&self, _model: &TrainedModel, delta: &StoreDelta) {
-                self.delta_rows.fetch_add(delta.dirty_rows(), Ordering::SeqCst);
+                self.delta_rows
+                    .fetch_add(delta.dirty_rows(), Ordering::SeqCst);
             }
         }
 

@@ -58,8 +58,7 @@ pub fn compare<A: CrossModalModel + ?Sized, B: CrossModalModel + ?Sized>(
         let r = corpus.record(rid);
         match task {
             PredictionTask::Text => {
-                let words: Vec<&str> =
-                    r.keywords.iter().map(|&k| corpus.vocab().word(k)).collect();
+                let words: Vec<&str> = r.keywords.iter().map(|&k| corpus.vocab().word(k)).collect();
                 words.join(" ")
             }
             PredictionTask::Time => format!(
@@ -73,8 +72,9 @@ pub fn compare<A: CrossModalModel + ?Sized, B: CrossModalModel + ?Sized>(
         }
     };
 
-    let candidates: Vec<mobility::RecordId> =
-        std::iter::once(query.record).chain(query.noise.iter().copied()).collect();
+    let candidates: Vec<mobility::RecordId> = std::iter::once(query.record)
+        .chain(query.noise.iter().copied())
+        .collect();
     let gt = corpus.record(query.record);
 
     fn scores_for<M: CrossModalModel + ?Sized>(
@@ -159,7 +159,11 @@ mod tests {
         }
         fn score_text(&self, _: Timestamp, _: GeoPoint, c: &[KeywordId]) -> f64 {
             -((c.len() as i64 - self.gt.keywords.len() as i64).abs() as f64)
-                + if c == self.gt.keywords.as_slice() { 100.0 } else { 0.0 }
+                + if c == self.gt.keywords.as_slice() {
+                    100.0
+                } else {
+                    0.0
+                }
         }
         fn name(&self) -> &str {
             "oracle"
@@ -225,7 +229,13 @@ mod tests {
         let oracle = Oracle {
             gt: corpus.record(queries[0].record).clone(),
         };
-        let cs = compare(&oracle, &Anti, &corpus, &queries[0], PredictionTask::Location);
+        let cs = compare(
+            &oracle,
+            &Anti,
+            &corpus,
+            &queries[0],
+            PredictionTask::Location,
+        );
         assert!(cs.rows[0].candidate.starts_with('('));
         let cs = compare(&oracle, &Anti, &corpus, &queries[0], PredictionTask::Time);
         assert!(cs.rows[0].candidate.starts_with("day "));

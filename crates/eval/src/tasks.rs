@@ -110,8 +110,7 @@ pub fn score_query<M: CrossModalModel + ?Sized>(
     let mut scores = Vec::with_capacity(query.noise.len() + 1);
     match task {
         PredictionTask::Location => {
-            let score =
-                |p: GeoPoint| model.score_location(gt.timestamp, &gt.keywords, p);
+            let score = |p: GeoPoint| model.score_location(gt.timestamp, &gt.keywords, p);
             scores.push(score(gt.location));
             for &nid in &query.noise {
                 scores.push(score(corpus.record(nid).location));
@@ -238,7 +237,13 @@ mod tests {
             max_queries: 10,
             ..EvalParams::default()
         };
-        let mrr = evaluate_mrr(&Constant, &corpus, &split.test, PredictionTask::Text, &params);
+        let mrr = evaluate_mrr(
+            &Constant,
+            &corpus,
+            &split.test,
+            PredictionTask::Text,
+            &params,
+        );
         // Average-rank ties: a constant scorer earns rank (11+1)/2 = 6.
         assert!((mrr - 1.0 / 6.0).abs() < 1e-9, "{mrr}");
     }

@@ -367,9 +367,7 @@ mod tests {
     fn spatial_min_support_drops_noise_modes() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut pts: Vec<GeoPoint> = (0..500)
-            .map(|_| {
-                GeoPoint::new(normal(&mut rng, 0.0, 0.004), normal(&mut rng, 0.0, 0.004))
-            })
+            .map(|_| GeoPoint::new(normal(&mut rng, 0.0, 0.004), normal(&mut rng, 0.0, 0.004)))
             .collect();
         // One isolated outlier far away.
         pts.push(GeoPoint::new(1.0, 1.0));
@@ -415,12 +413,7 @@ mod tests {
     fn from_centers_round_trips_assignment() {
         let mut rng = StdRng::seed_from_u64(5);
         let pts: Vec<GeoPoint> = (0..300)
-            .map(|_| {
-                GeoPoint::new(
-                    normal(&mut rng, 34.0, 0.02),
-                    normal(&mut rng, -118.2, 0.02),
-                )
-            })
+            .map(|_| GeoPoint::new(normal(&mut rng, 34.0, 0.02), normal(&mut rng, -118.2, 0.02)))
             .collect();
         let params = MeanShiftParams::with_bandwidth(0.01);
         let detected = SpatialHotspots::detect(&pts, params, 2);

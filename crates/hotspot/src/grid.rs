@@ -197,11 +197,7 @@ mod tests {
                 .min_by(|a, b| q.dist2(a.1).partial_cmp(&q.dist2(b.1)).unwrap())
                 .unwrap()
                 .0;
-            assert_eq!(
-                q.dist2(&points[got]),
-                q.dist2(&points[want]),
-                "query {q:?}"
-            );
+            assert_eq!(q.dist2(&points[got]), q.dist2(&points[want]), "query {q:?}");
         }
     }
 

@@ -211,7 +211,10 @@ mod tests {
     #[test]
     fn rejects_unknown_keyword() {
         let err = Corpus::new("t", vec![record(0, &[3], &[])], vocab(2), 1).unwrap_err();
-        assert!(matches!(err, MobilityError::UnknownKeyword { keyword: 3, .. }));
+        assert!(matches!(
+            err,
+            MobilityError::UnknownKeyword { keyword: 3, .. }
+        ));
     }
 
     #[test]

@@ -132,6 +132,8 @@ mod tests {
             reason: "test fraction negative".into(),
         };
         assert!(e.to_string().contains("test fraction negative"));
-        assert!(MobilityError::EmptyCorpus.to_string().contains("no records"));
+        assert!(MobilityError::EmptyCorpus
+            .to_string()
+            .contains("no records"));
     }
 }

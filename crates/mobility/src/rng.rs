@@ -100,7 +100,9 @@ impl Categorical {
         let total = *self.cumulative.last().expect("non-empty by construction");
         let x = rng.random_range(0.0..total);
         // partition_point returns the first index with cumulative > x.
-        self.cumulative.partition_point(|&c| c <= x).min(self.cumulative.len() - 1)
+        self.cumulative
+            .partition_point(|&c| c <= x)
+            .min(self.cumulative.len() - 1)
     }
 }
 

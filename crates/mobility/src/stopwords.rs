@@ -9,15 +9,15 @@
 pub const STOPWORDS: &[&str] = &[
     "a", "about", "above", "after", "again", "against", "all", "am", "an", "and", "any", "are",
     "as", "at", "be", "because", "been", "before", "being", "below", "between", "both", "but",
-    "by", "can", "cannot", "could", "did", "do", "does", "doing", "down", "during", "each",
-    "few", "for", "from", "further", "get", "got", "had", "has", "have", "having", "he", "her",
-    "here", "hers", "him", "his", "how", "i", "if", "in", "into", "is", "it", "its", "just",
-    "like", "me", "more", "most", "my", "no", "nor", "not", "now", "of", "off", "on", "once",
-    "only", "or", "other", "our", "out", "over", "own", "rt", "same", "she", "should", "so",
-    "some", "such", "than", "that", "the", "their", "them", "then", "there", "these", "they",
-    "this", "those", "through", "to", "today", "too", "under", "until", "up", "very", "was",
-    "we", "were", "what", "when", "where", "which", "while", "who", "whom", "why", "will",
-    "with", "would", "you", "your",
+    "by", "can", "cannot", "could", "did", "do", "does", "doing", "down", "during", "each", "few",
+    "for", "from", "further", "get", "got", "had", "has", "have", "having", "he", "her", "here",
+    "hers", "him", "his", "how", "i", "if", "in", "into", "is", "it", "its", "just", "like", "me",
+    "more", "most", "my", "no", "nor", "not", "now", "of", "off", "on", "once", "only", "or",
+    "other", "our", "out", "over", "own", "rt", "same", "she", "should", "so", "some", "such",
+    "than", "that", "the", "their", "them", "then", "there", "these", "they", "this", "those",
+    "through", "to", "today", "too", "under", "until", "up", "very", "was", "we", "were", "what",
+    "when", "where", "which", "while", "who", "whom", "why", "will", "with", "would", "you",
+    "your",
 ];
 
 /// True if `word` (ASCII, lower-cased by the caller) is a stop word.

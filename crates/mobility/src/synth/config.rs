@@ -249,8 +249,7 @@ impl SynthConfig {
         if self.venue_word_prob + self.background_word_prob + self.polysemous_word_prob >= 1.0 {
             return Err("word-source probabilities must leave room for theme words".into());
         }
-        if self.activities_per_community == 0 || self.activities_per_community > self.n_activities
-        {
+        if self.activities_per_community == 0 || self.activities_per_community > self.n_activities {
             return Err("activities_per_community must be in 1..=n_activities".into());
         }
         Ok(())

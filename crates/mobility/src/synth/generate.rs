@@ -170,7 +170,9 @@ fn sample_keyword<R: Rng + ?Sized>(
 ) -> KeywordId {
     let u: f64 = rng.random();
     if u < cfg.venue_word_prob && !activity.venue_words[cluster].is_empty() {
-        *activity.venue_words[cluster].choose(rng).expect("non-empty")
+        *activity.venue_words[cluster]
+            .choose(rng)
+            .expect("non-empty")
     } else if u < cfg.venue_word_prob + cfg.background_word_prob
         && !world.background_words.is_empty()
     {

@@ -25,38 +25,510 @@ pub struct Theme {
 
 /// The theme catalogue. Presets draw the first `n_activities` entries.
 pub const THEMES: &[Theme] = &[
-    Theme { name: "beach", words: &["beach", "surf", "sand", "waves", "sunset", "boardwalk", "swim", "tan", "volleyball", "pier"], peak_hour: 15.0, hour_sd: 3.0, anchor: (0.15, 0.10) },
-    Theme { name: "nightlife", words: &["bar", "drinks", "cocktail", "dj", "dance", "club", "neon", "karaoke", "shots", "bouncer"], peak_hour: 23.0, hour_sd: 1.8, anchor: (0.55, 0.45) },
-    Theme { name: "concert", words: &["concert", "band", "encore", "stage", "guitar", "crowd", "tour", "setlist", "amp", "vinyl"], peak_hour: 21.0, hour_sd: 1.5, anchor: (0.50, 0.52) },
-    Theme { name: "stadium", words: &["game", "stadium", "score", "team", "fans", "playoffs", "homerun", "touchdown", "jersey", "season"], peak_hour: 19.5, hour_sd: 2.0, anchor: (0.60, 0.40) },
-    Theme { name: "museum", words: &["museum", "exhibit", "gallery", "art", "sculpture", "curator", "painting", "installation", "modern", "wing"], peak_hour: 13.0, hour_sd: 2.5, anchor: (0.48, 0.60) },
-    Theme { name: "airport", words: &["flight", "airport", "gate", "boarding", "layover", "terminal", "takeoff", "luggage", "delayed", "runway"], peak_hour: 9.0, hour_sd: 4.5, anchor: (0.30, 0.25) },
-    Theme { name: "port", words: &["port", "dock", "ship", "berth", "departure", "passport", "cruise", "harbor", "cargo", "ferry"], peak_hour: 11.0, hour_sd: 3.5, anchor: (0.58, 0.05) },
-    Theme { name: "campus", words: &["campus", "lecture", "library", "exam", "professor", "quad", "semester", "thesis", "dorm", "study"], peak_hour: 11.5, hour_sd: 3.0, anchor: (0.42, 0.68) },
-    Theme { name: "foodie", words: &["brunch", "tacos", "ramen", "foodtruck", "dessert", "chef", "menu", "reservation", "spicy", "delicious"], peak_hour: 12.5, hour_sd: 2.2, anchor: (0.52, 0.48) },
-    Theme { name: "hiking", words: &["trail", "hike", "summit", "canyon", "wildflowers", "switchback", "vista", "creek", "ridge", "sunrise"], peak_hour: 8.0, hour_sd: 2.0, anchor: (0.70, 0.80) },
-    Theme { name: "shopping", words: &["mall", "sale", "boutique", "outlet", "fitting", "receipt", "designer", "discount", "haul", "window"], peak_hour: 15.5, hour_sd: 2.5, anchor: (0.62, 0.55) },
-    Theme { name: "cinema", words: &["movie", "screening", "premiere", "trailer", "popcorn", "matinee", "sequel", "director", "theatre", "imax"], peak_hour: 20.0, hour_sd: 2.0, anchor: (0.45, 0.50) },
-    Theme { name: "coffee", words: &["coffee", "espresso", "latte", "roast", "barista", "pastry", "brew", "mug", "caffeine", "beans"], peak_hour: 8.5, hour_sd: 1.5, anchor: (0.50, 0.57) },
-    Theme { name: "gym", words: &["gym", "workout", "reps", "cardio", "deadlift", "trainer", "sweat", "protein", "treadmill", "gains"], peak_hour: 18.0, hour_sd: 2.5, anchor: (0.57, 0.50) },
-    Theme { name: "techmeetup", words: &["startup", "demo", "hackathon", "keynote", "founders", "pitchdeck", "api", "beta", "venture", "whiteboard"], peak_hour: 18.5, hour_sd: 1.5, anchor: (0.35, 0.42) },
-    Theme { name: "market", words: &["farmers", "market", "organic", "produce", "stall", "honey", "vendors", "samples", "flowers", "heirloom"], peak_hour: 10.0, hour_sd: 1.5, anchor: (0.47, 0.63) },
-    Theme { name: "themepark", words: &["rollercoaster", "rides", "parade", "ticket", "mascot", "fireworks", "queue", "funnel", "carousel", "fastpass"], peak_hour: 14.0, hour_sd: 3.0, anchor: (0.85, 0.35) },
-    Theme { name: "marina", words: &["sail", "marina", "yacht", "regatta", "anchor", "tide", "knots", "deckhand", "mast", "buoy"], peak_hour: 13.5, hour_sd: 2.5, anchor: (0.25, 0.15) },
-    Theme { name: "downtown", words: &["skyline", "rooftop", "loft", "gallerywalk", "foodhall", "metro", "plaza", "mural", "highrise", "happyhour"], peak_hour: 17.5, hour_sd: 3.0, anchor: (0.55, 0.47) },
-    Theme { name: "zoo", words: &["zoo", "giraffe", "penguins", "habitat", "keeper", "feeding", "safari", "otters", "aviary", "cubs"], peak_hour: 12.0, hour_sd: 2.0, anchor: (0.58, 0.65) },
-    Theme { name: "spa", words: &["spa", "massage", "sauna", "facial", "relax", "aromatherapy", "wellness", "robe", "steam", "retreat"], peak_hour: 14.5, hour_sd: 2.5, anchor: (0.40, 0.55) },
-    Theme { name: "bookstore", words: &["bookstore", "novel", "author", "signing", "paperback", "shelves", "poetry", "chapter", "indie", "bookmark"], peak_hour: 16.0, hour_sd: 2.5, anchor: (0.49, 0.59) },
-    Theme { name: "racetrack", words: &["derby", "horses", "racetrack", "jockey", "furlong", "paddock", "odds", "photofinish", "stables", "turf"], peak_hour: 15.0, hour_sd: 1.5, anchor: (0.75, 0.55) },
-    Theme { name: "observatory", words: &["telescope", "stars", "planetarium", "nebula", "astronomy", "eclipse", "orbit", "dome", "stargazing", "comet"], peak_hour: 21.5, hour_sd: 1.5, anchor: (0.60, 0.70) },
-    Theme { name: "skatepark", words: &["skate", "ollie", "halfpipe", "grind", "kickflip", "ramp", "longboard", "bowl", "trucks", "griptape"], peak_hour: 16.5, hour_sd: 2.0, anchor: (0.33, 0.30) },
-    Theme { name: "courthouse", words: &["jury", "verdict", "hearing", "courtroom", "attorney", "docket", "testimony", "gavel", "appeal", "bailiff"], peak_hour: 10.5, hour_sd: 2.0, anchor: (0.53, 0.49) },
-    Theme { name: "aquarium", words: &["aquarium", "jellyfish", "sharks", "tanks", "seahorse", "stingray", "kelp", "touchpool", "octopus", "eel"], peak_hour: 13.5, hour_sd: 2.0, anchor: (0.20, 0.12) },
-    Theme { name: "vineyard", words: &["vineyard", "tasting", "sommelier", "merlot", "harvest", "barrel", "vintage", "cellar", "grapes", "pairing"], peak_hour: 15.0, hour_sd: 2.0, anchor: (0.80, 0.75) },
-    Theme { name: "arcade", words: &["arcade", "pinball", "joystick", "highscore", "tokens", "cabinet", "retro", "skeeball", "claw", "multiplayer"], peak_hour: 19.0, hour_sd: 2.5, anchor: (0.44, 0.41) },
-    Theme { name: "karting", words: &["karting", "laps", "helmet", "chicane", "apex", "pitlane", "overtake", "grid", "pole", "throttle"], peak_hour: 17.0, hour_sd: 2.0, anchor: (0.70, 0.28) },
-    Theme { name: "botanical", words: &["garden", "orchid", "succulent", "greenhouse", "bonsai", "fern", "arboretum", "bloom", "pollinator", "topiary"], peak_hour: 11.0, hour_sd: 2.5, anchor: (0.46, 0.72) },
-    Theme { name: "poetryslam", words: &["poets", "slam", "openmic", "verse", "stanza", "spokenword", "snaps", "headliner", "freestyle", "lyric"], peak_hour: 20.5, hour_sd: 1.2, anchor: (0.51, 0.44) },
+    Theme {
+        name: "beach",
+        words: &[
+            "beach",
+            "surf",
+            "sand",
+            "waves",
+            "sunset",
+            "boardwalk",
+            "swim",
+            "tan",
+            "volleyball",
+            "pier",
+        ],
+        peak_hour: 15.0,
+        hour_sd: 3.0,
+        anchor: (0.15, 0.10),
+    },
+    Theme {
+        name: "nightlife",
+        words: &[
+            "bar", "drinks", "cocktail", "dj", "dance", "club", "neon", "karaoke", "shots",
+            "bouncer",
+        ],
+        peak_hour: 23.0,
+        hour_sd: 1.8,
+        anchor: (0.55, 0.45),
+    },
+    Theme {
+        name: "concert",
+        words: &[
+            "concert", "band", "encore", "stage", "guitar", "crowd", "tour", "setlist", "amp",
+            "vinyl",
+        ],
+        peak_hour: 21.0,
+        hour_sd: 1.5,
+        anchor: (0.50, 0.52),
+    },
+    Theme {
+        name: "stadium",
+        words: &[
+            "game",
+            "stadium",
+            "score",
+            "team",
+            "fans",
+            "playoffs",
+            "homerun",
+            "touchdown",
+            "jersey",
+            "season",
+        ],
+        peak_hour: 19.5,
+        hour_sd: 2.0,
+        anchor: (0.60, 0.40),
+    },
+    Theme {
+        name: "museum",
+        words: &[
+            "museum",
+            "exhibit",
+            "gallery",
+            "art",
+            "sculpture",
+            "curator",
+            "painting",
+            "installation",
+            "modern",
+            "wing",
+        ],
+        peak_hour: 13.0,
+        hour_sd: 2.5,
+        anchor: (0.48, 0.60),
+    },
+    Theme {
+        name: "airport",
+        words: &[
+            "flight", "airport", "gate", "boarding", "layover", "terminal", "takeoff", "luggage",
+            "delayed", "runway",
+        ],
+        peak_hour: 9.0,
+        hour_sd: 4.5,
+        anchor: (0.30, 0.25),
+    },
+    Theme {
+        name: "port",
+        words: &[
+            "port",
+            "dock",
+            "ship",
+            "berth",
+            "departure",
+            "passport",
+            "cruise",
+            "harbor",
+            "cargo",
+            "ferry",
+        ],
+        peak_hour: 11.0,
+        hour_sd: 3.5,
+        anchor: (0.58, 0.05),
+    },
+    Theme {
+        name: "campus",
+        words: &[
+            "campus",
+            "lecture",
+            "library",
+            "exam",
+            "professor",
+            "quad",
+            "semester",
+            "thesis",
+            "dorm",
+            "study",
+        ],
+        peak_hour: 11.5,
+        hour_sd: 3.0,
+        anchor: (0.42, 0.68),
+    },
+    Theme {
+        name: "foodie",
+        words: &[
+            "brunch",
+            "tacos",
+            "ramen",
+            "foodtruck",
+            "dessert",
+            "chef",
+            "menu",
+            "reservation",
+            "spicy",
+            "delicious",
+        ],
+        peak_hour: 12.5,
+        hour_sd: 2.2,
+        anchor: (0.52, 0.48),
+    },
+    Theme {
+        name: "hiking",
+        words: &[
+            "trail",
+            "hike",
+            "summit",
+            "canyon",
+            "wildflowers",
+            "switchback",
+            "vista",
+            "creek",
+            "ridge",
+            "sunrise",
+        ],
+        peak_hour: 8.0,
+        hour_sd: 2.0,
+        anchor: (0.70, 0.80),
+    },
+    Theme {
+        name: "shopping",
+        words: &[
+            "mall", "sale", "boutique", "outlet", "fitting", "receipt", "designer", "discount",
+            "haul", "window",
+        ],
+        peak_hour: 15.5,
+        hour_sd: 2.5,
+        anchor: (0.62, 0.55),
+    },
+    Theme {
+        name: "cinema",
+        words: &[
+            "movie",
+            "screening",
+            "premiere",
+            "trailer",
+            "popcorn",
+            "matinee",
+            "sequel",
+            "director",
+            "theatre",
+            "imax",
+        ],
+        peak_hour: 20.0,
+        hour_sd: 2.0,
+        anchor: (0.45, 0.50),
+    },
+    Theme {
+        name: "coffee",
+        words: &[
+            "coffee", "espresso", "latte", "roast", "barista", "pastry", "brew", "mug", "caffeine",
+            "beans",
+        ],
+        peak_hour: 8.5,
+        hour_sd: 1.5,
+        anchor: (0.50, 0.57),
+    },
+    Theme {
+        name: "gym",
+        words: &[
+            "gym",
+            "workout",
+            "reps",
+            "cardio",
+            "deadlift",
+            "trainer",
+            "sweat",
+            "protein",
+            "treadmill",
+            "gains",
+        ],
+        peak_hour: 18.0,
+        hour_sd: 2.5,
+        anchor: (0.57, 0.50),
+    },
+    Theme {
+        name: "techmeetup",
+        words: &[
+            "startup",
+            "demo",
+            "hackathon",
+            "keynote",
+            "founders",
+            "pitchdeck",
+            "api",
+            "beta",
+            "venture",
+            "whiteboard",
+        ],
+        peak_hour: 18.5,
+        hour_sd: 1.5,
+        anchor: (0.35, 0.42),
+    },
+    Theme {
+        name: "market",
+        words: &[
+            "farmers", "market", "organic", "produce", "stall", "honey", "vendors", "samples",
+            "flowers", "heirloom",
+        ],
+        peak_hour: 10.0,
+        hour_sd: 1.5,
+        anchor: (0.47, 0.63),
+    },
+    Theme {
+        name: "themepark",
+        words: &[
+            "rollercoaster",
+            "rides",
+            "parade",
+            "ticket",
+            "mascot",
+            "fireworks",
+            "queue",
+            "funnel",
+            "carousel",
+            "fastpass",
+        ],
+        peak_hour: 14.0,
+        hour_sd: 3.0,
+        anchor: (0.85, 0.35),
+    },
+    Theme {
+        name: "marina",
+        words: &[
+            "sail", "marina", "yacht", "regatta", "anchor", "tide", "knots", "deckhand", "mast",
+            "buoy",
+        ],
+        peak_hour: 13.5,
+        hour_sd: 2.5,
+        anchor: (0.25, 0.15),
+    },
+    Theme {
+        name: "downtown",
+        words: &[
+            "skyline",
+            "rooftop",
+            "loft",
+            "gallerywalk",
+            "foodhall",
+            "metro",
+            "plaza",
+            "mural",
+            "highrise",
+            "happyhour",
+        ],
+        peak_hour: 17.5,
+        hour_sd: 3.0,
+        anchor: (0.55, 0.47),
+    },
+    Theme {
+        name: "zoo",
+        words: &[
+            "zoo", "giraffe", "penguins", "habitat", "keeper", "feeding", "safari", "otters",
+            "aviary", "cubs",
+        ],
+        peak_hour: 12.0,
+        hour_sd: 2.0,
+        anchor: (0.58, 0.65),
+    },
+    Theme {
+        name: "spa",
+        words: &[
+            "spa",
+            "massage",
+            "sauna",
+            "facial",
+            "relax",
+            "aromatherapy",
+            "wellness",
+            "robe",
+            "steam",
+            "retreat",
+        ],
+        peak_hour: 14.5,
+        hour_sd: 2.5,
+        anchor: (0.40, 0.55),
+    },
+    Theme {
+        name: "bookstore",
+        words: &[
+            "bookstore",
+            "novel",
+            "author",
+            "signing",
+            "paperback",
+            "shelves",
+            "poetry",
+            "chapter",
+            "indie",
+            "bookmark",
+        ],
+        peak_hour: 16.0,
+        hour_sd: 2.5,
+        anchor: (0.49, 0.59),
+    },
+    Theme {
+        name: "racetrack",
+        words: &[
+            "derby",
+            "horses",
+            "racetrack",
+            "jockey",
+            "furlong",
+            "paddock",
+            "odds",
+            "photofinish",
+            "stables",
+            "turf",
+        ],
+        peak_hour: 15.0,
+        hour_sd: 1.5,
+        anchor: (0.75, 0.55),
+    },
+    Theme {
+        name: "observatory",
+        words: &[
+            "telescope",
+            "stars",
+            "planetarium",
+            "nebula",
+            "astronomy",
+            "eclipse",
+            "orbit",
+            "dome",
+            "stargazing",
+            "comet",
+        ],
+        peak_hour: 21.5,
+        hour_sd: 1.5,
+        anchor: (0.60, 0.70),
+    },
+    Theme {
+        name: "skatepark",
+        words: &[
+            "skate",
+            "ollie",
+            "halfpipe",
+            "grind",
+            "kickflip",
+            "ramp",
+            "longboard",
+            "bowl",
+            "trucks",
+            "griptape",
+        ],
+        peak_hour: 16.5,
+        hour_sd: 2.0,
+        anchor: (0.33, 0.30),
+    },
+    Theme {
+        name: "courthouse",
+        words: &[
+            "jury",
+            "verdict",
+            "hearing",
+            "courtroom",
+            "attorney",
+            "docket",
+            "testimony",
+            "gavel",
+            "appeal",
+            "bailiff",
+        ],
+        peak_hour: 10.5,
+        hour_sd: 2.0,
+        anchor: (0.53, 0.49),
+    },
+    Theme {
+        name: "aquarium",
+        words: &[
+            "aquarium",
+            "jellyfish",
+            "sharks",
+            "tanks",
+            "seahorse",
+            "stingray",
+            "kelp",
+            "touchpool",
+            "octopus",
+            "eel",
+        ],
+        peak_hour: 13.5,
+        hour_sd: 2.0,
+        anchor: (0.20, 0.12),
+    },
+    Theme {
+        name: "vineyard",
+        words: &[
+            "vineyard",
+            "tasting",
+            "sommelier",
+            "merlot",
+            "harvest",
+            "barrel",
+            "vintage",
+            "cellar",
+            "grapes",
+            "pairing",
+        ],
+        peak_hour: 15.0,
+        hour_sd: 2.0,
+        anchor: (0.80, 0.75),
+    },
+    Theme {
+        name: "arcade",
+        words: &[
+            "arcade",
+            "pinball",
+            "joystick",
+            "highscore",
+            "tokens",
+            "cabinet",
+            "retro",
+            "skeeball",
+            "claw",
+            "multiplayer",
+        ],
+        peak_hour: 19.0,
+        hour_sd: 2.5,
+        anchor: (0.44, 0.41),
+    },
+    Theme {
+        name: "karting",
+        words: &[
+            "karting", "laps", "helmet", "chicane", "apex", "pitlane", "overtake", "grid", "pole",
+            "throttle",
+        ],
+        peak_hour: 17.0,
+        hour_sd: 2.0,
+        anchor: (0.70, 0.28),
+    },
+    Theme {
+        name: "botanical",
+        words: &[
+            "garden",
+            "orchid",
+            "succulent",
+            "greenhouse",
+            "bonsai",
+            "fern",
+            "arboretum",
+            "bloom",
+            "pollinator",
+            "topiary",
+        ],
+        peak_hour: 11.0,
+        hour_sd: 2.5,
+        anchor: (0.46, 0.72),
+    },
+    Theme {
+        name: "poetryslam",
+        words: &[
+            "poets",
+            "slam",
+            "openmic",
+            "verse",
+            "stanza",
+            "spokenword",
+            "snaps",
+            "headliner",
+            "freestyle",
+            "lyric",
+        ],
+        peak_hour: 20.5,
+        hour_sd: 1.2,
+        anchor: (0.51, 0.44),
+    },
 ];
 
 /// Polysemous words appearing in the distributions of *several* activities.

@@ -156,7 +156,9 @@ impl World {
 
         // Attach polysemous words to every activity whose theme they list.
         for (word, theme_names) in POLYSEMOUS {
-            let id = vocab.intern(word).expect("polysemous words are content words");
+            let id = vocab
+                .intern(word)
+                .expect("polysemous words are content words");
             for act in activities.iter_mut() {
                 if theme_names.contains(&act.theme_name) {
                     act.polysemous_words.push(id);
@@ -172,11 +174,9 @@ impl World {
                     .expect("chatter tokens are not stop words")
             })
             .collect();
-        let background_dist = Categorical::new(&zipf_weights(
-            config.n_background_words.max(1),
-            1.1,
-        ))
-        .expect("zipf weights are positive");
+        let background_dist =
+            Categorical::new(&zipf_weights(config.n_background_words.max(1), 1.1))
+                .expect("zipf weights are positive");
 
         // Communities: round-robin user assignment after a shuffle, so
         // community sizes differ by at most one.
@@ -188,11 +188,12 @@ impl World {
                 // replacement.
                 let mut pool: Vec<usize> = (0..config.n_activities).collect();
                 pool.shuffle(&mut rng);
-                let acts: Vec<usize> =
-                    pool.into_iter().take(config.activities_per_community).collect();
+                let acts: Vec<usize> = pool
+                    .into_iter()
+                    .take(config.activities_per_community)
+                    .collect();
                 // Geometric-ish preference: first activity dominates.
-                let weights: Vec<f64> =
-                    (0..acts.len()).map(|i| 0.55f64.powi(i as i32)).collect();
+                let weights: Vec<f64> = (0..acts.len()).map(|i| 0.55f64.powi(i as i32)).collect();
                 Community {
                     activities: acts,
                     members: Vec::new(),

@@ -191,7 +191,11 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     pub(crate) fn from_buckets(name: String, buckets: Vec<u64>, sum: u64, max: u64) -> Self {
         let count: u64 = buckets.iter().sum();
-        let mean = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
+        let mean = if count == 0 {
+            0.0
+        } else {
+            sum as f64 / count as f64
+        };
         Self {
             name,
             count,

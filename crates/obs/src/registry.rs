@@ -16,7 +16,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::metrics::{Counter, CounterCell, CounterSnapshot, Histogram, HistogramCell, HistogramSnapshot};
+use crate::metrics::{
+    Counter, CounterCell, CounterSnapshot, Histogram, HistogramCell, HistogramSnapshot,
+};
 
 /// Separator between nested span names in an aggregated path.
 pub const PATH_SEP: char = '>';
@@ -161,7 +163,9 @@ pub fn counter(name: &str) -> Counter {
     let cell = counters
         .entry(name.to_string())
         .or_insert_with(|| Arc::new(CounterCell::new()));
-    Counter { cell: Arc::clone(cell) }
+    Counter {
+        cell: Arc::clone(cell),
+    }
 }
 
 /// Returns the histogram registered under `name`, creating it on first use.
@@ -299,7 +303,10 @@ mod tests {
     fn active_spans_visible_until_dropped() {
         let span = enter("registry.test.active");
         assert!(
-            snapshot().active.iter().any(|(p, _)| p == "registry.test.active"),
+            snapshot()
+                .active
+                .iter()
+                .any(|(p, _)| p == "registry.test.active"),
             "open span should appear in the active list"
         );
         drop(span);

@@ -84,10 +84,11 @@ impl RunTelemetry {
             .histograms
             .iter()
             .filter_map(|h| {
-                let delta = match baseline.and_then(|b| b.histograms.iter().find(|p| p.name == h.name)) {
-                    Some(prior) => h.diff(prior),
-                    None => h.clone(),
-                };
+                let delta =
+                    match baseline.and_then(|b| b.histograms.iter().find(|p| p.name == h.name)) {
+                        Some(prior) => h.diff(prior),
+                        None => h.clone(),
+                    };
                 (delta.count > 0).then_some(delta)
             })
             .collect();
@@ -176,7 +177,12 @@ pub(crate) fn push_histogram(out: &mut String, h: &HistogramSnapshot) {
     out.push(',');
     push_key(out, "mean");
     push_f64(out, h.mean);
-    for (key, value) in [("p50", h.p50), ("p95", h.p95), ("p99", h.p99), ("max", h.max)] {
+    for (key, value) in [
+        ("p50", h.p50),
+        ("p95", h.p95),
+        ("p99", h.p99),
+        ("max", h.max),
+    ] {
         out.push(',');
         push_key(out, key);
         out.push_str(&value.to_string());
@@ -285,7 +291,10 @@ mod tests {
 
     #[test]
     fn render_shows_counts_and_seconds() {
-        let flat = vec![row("fit", 1, 2_500_000_000), row("fit>train", 3, 1_500_000_000)];
+        let flat = vec![
+            row("fit", 1, 2_500_000_000),
+            row("fit>train", 3, 1_500_000_000),
+        ];
         let telemetry = RunTelemetry {
             wall_seconds: 2.5,
             spans: build_tree(&flat),
@@ -322,7 +331,10 @@ mod tests {
         let json = telemetry.to_json();
         assert!(json.starts_with("{\"wall_seconds\":1.250000"), "{json}");
         assert!(json.contains("\"name\":\"fit\",\"count\":1"), "{json}");
-        assert!(json.contains("\"name\":\"embed.samples\",\"value\":42}"), "{json}");
+        assert!(
+            json.contains("\"name\":\"embed.samples\",\"value\":42}"),
+            "{json}"
+        );
         assert!(json.contains("\"p50\":3"), "{json}");
         assert!(json.ends_with("}"), "{json}");
     }

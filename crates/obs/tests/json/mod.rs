@@ -53,7 +53,9 @@ pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser { text, pos: 0 };
     let value = p.value()?;
     p.skip_ws();
-    (p.pos == text.len()).then_some(value).ok_or_else(|| p.error("trailing bytes after the value"))
+    (p.pos == text.len())
+        .then_some(value)
+        .ok_or_else(|| p.error("trailing bytes after the value"))
 }
 
 struct Parser<'a> {
@@ -85,7 +87,9 @@ impl Parser<'_> {
     }
 
     fn expect(&mut self, c: char) -> Result<(), String> {
-        self.eat(c).then_some(()).ok_or_else(|| self.error(&format!("expected `{c}`")))
+        self.eat(c)
+            .then_some(())
+            .ok_or_else(|| self.error(&format!("expected `{c}`")))
     }
 
     fn skip_ws(&mut self) {
@@ -95,8 +99,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
-        let words =
-            [("null", Value::Null), ("true", Value::Bool(true)), ("false", Value::Bool(false))];
+        let words = [
+            ("null", Value::Null),
+            ("true", Value::Bool(true)),
+            ("false", Value::Bool(false)),
+        ];
         for (word, value) in words {
             if self.text[self.pos..].starts_with(word) {
                 self.pos += word.len();
@@ -187,7 +194,9 @@ impl Parser<'_> {
         if !ok {
             return Err(self.error(&format!("bad number `{text}`")));
         }
-        Ok(text.parse().map_or_else(|_| Value::Num(text.parse().unwrap()), Value::Int))
+        Ok(text
+            .parse()
+            .map_or_else(|_| Value::Num(text.parse().unwrap()), Value::Int))
     }
 
     /// Consumes a run of digits; false if it is empty, or if `integer`
@@ -223,7 +232,16 @@ fn rejects_malformed_documents() {
     let after_the_value = ["{} x", "1 2", "[1]]"];
     let raw_controls = ["\"a\u{1}b\"", "\"a\nb\"", "\"a\tb\""];
     let numbers = ["01", "-", "1.", "1e", "-01.5", ".5", "+1"];
-    let other = ["", "[", "nul", "{\"a\" 1}", "{1:2}", "\"\\x\"", "\"\\u12g4\"", "\"\\ud800\""];
+    let other = [
+        "",
+        "[",
+        "nul",
+        "{\"a\" 1}",
+        "{1:2}",
+        "\"\\x\"",
+        "\"\\u12g4\"",
+        "\"\\ud800\"",
+    ];
     let groups = [trailing_commas, unterminated, after_the_value, raw_controls];
     for bad in groups.iter().flatten().chain(&numbers).chain(&other) {
         assert!(parse(bad).is_err(), "accepted {bad:?}");

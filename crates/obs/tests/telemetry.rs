@@ -128,21 +128,25 @@ fn special_characters_in_names_survive_the_json_round_trip() {
     let json = obs::RunTelemetry::capture().to_json();
     let v = json::parse(&json).expect("valid JSON");
     for key in ["counters", "spans"] {
-        let mut names = v.get(key).as_seq().unwrap().iter().map(|n| n.get("name").as_str());
-        assert!(names.any(|n| n == Some(name)), "{key}: no {name:?} in {json}");
+        let mut names = v
+            .get(key)
+            .as_seq()
+            .unwrap()
+            .iter()
+            .map(|n| n.get("name").as_str());
+        assert!(
+            names.any(|n| n == Some(name)),
+            "{key}: no {name:?} in {json}"
+        );
     }
 }
 
 #[test]
 fn reporter_writes_parseable_jsonl() {
-    let path = std::env::temp_dir().join(format!(
-        "actor-obs-test-{}.jsonl",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("actor-obs-test-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     {
-        let _reporter =
-            obs::Reporter::start(Duration::from_millis(20), Some(path.clone()));
+        let _reporter = obs::Reporter::start(Duration::from_millis(20), Some(path.clone()));
         let _work = obs::span!("it.reporter.work");
         obs::counter("it.reporter.ticks").add(99);
         std::thread::sleep(Duration::from_millis(70));

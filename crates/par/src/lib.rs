@@ -237,9 +237,7 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     run_sharded(items.len(), threads(), |_, range| {
-        range
-            .map(|i| f(i, &items[i]))
-            .collect::<Vec<R>>()
+        range.map(|i| f(i, &items[i])).collect::<Vec<R>>()
     })
     .into_iter()
     .flatten()
@@ -299,9 +297,10 @@ mod tests {
                     expect = r.end;
                 }
                 // Balanced to within one item.
-                if let (Some(max), Some(min)) =
-                    (s.iter().map(|r| r.len()).max(), s.iter().map(|r| r.len()).min())
-                {
+                if let (Some(max), Some(min)) = (
+                    s.iter().map(|r| r.len()).max(),
+                    s.iter().map(|r| r.len()).min(),
+                ) {
                     assert!(max - min <= 1);
                 }
             }
@@ -331,7 +330,10 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 16);
-        assert_eq!(seeds, (0..16).map(|s| shard_seed(42, s)).collect::<Vec<u64>>());
+        assert_eq!(
+            seeds,
+            (0..16).map(|s| shard_seed(42, s)).collect::<Vec<u64>>()
+        );
     }
 
     #[test]

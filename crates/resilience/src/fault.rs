@@ -91,8 +91,7 @@ impl FaultPlan {
 
     /// True once the training cursor has passed the armed failure point.
     pub fn should_fail(&self, samples_done: u64) -> bool {
-        self.fail_after_samples
-            .is_some_and(|at| samples_done >= at)
+        self.fail_after_samples.is_some_and(|at| samples_done >= at)
     }
 
     /// Flips `n` deterministic bytes of `data` in place (xor with a
@@ -161,14 +160,10 @@ fn corrupt_line(line: &str, kind: InjectedFaultKind) -> String {
             .copied()
             .collect::<Vec<_>>()
             .join("\t"),
-        InjectedFaultKind::BadTimestamp => {
-            replace_field(&fields, 1, "not-a-timestamp")
-        }
+        InjectedFaultKind::BadTimestamp => replace_field(&fields, 1, "not-a-timestamp"),
         InjectedFaultKind::NonFiniteCoordinate => replace_field(&fields, 2, "NaN"),
         InjectedFaultKind::OutOfRangeCoordinate => replace_field(&fields, 3, "9999.0"),
-        InjectedFaultKind::EmptyText => {
-            replace_field(&fields, 4, "the and of with a 1234")
-        }
+        InjectedFaultKind::EmptyText => replace_field(&fields, 4, "the and of with a 1234"),
     }
 }
 

@@ -86,7 +86,10 @@ mod tests {
 
     #[test]
     fn epoch_cadence_passes_through() {
-        assert_eq!(CheckpointPolicy::every_epochs(4).interval_epochs(1), Some(4));
+        assert_eq!(
+            CheckpointPolicy::every_epochs(4).interval_epochs(1),
+            Some(4)
+        );
         assert_eq!(CheckpointPolicy::every_epochs(0).every_epochs, 1);
     }
 
@@ -96,7 +99,10 @@ mod tests {
         let p = CheckpointPolicy::every_samples(35_000);
         assert_eq!(p.interval_epochs(10_000), Some(3));
         // Cadence tighter than one epoch clamps to 1.
-        assert_eq!(CheckpointPolicy::every_samples(5).interval_epochs(10_000), Some(1));
+        assert_eq!(
+            CheckpointPolicy::every_samples(5).interval_epochs(10_000),
+            Some(1)
+        );
     }
 
     #[test]

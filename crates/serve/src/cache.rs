@@ -186,7 +186,9 @@ impl QueryCache {
         let shards = shards.max(1);
         let per_shard = (capacity.max(1)).div_ceil(shards);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(Shard::new(per_shard)))
+                .collect(),
             hit_counter: obs::counter("serve.cache.hit"),
             miss_counter: obs::counter("serve.cache.miss"),
             hits: std::sync::atomic::AtomicU64::new(0),
@@ -209,7 +211,8 @@ impl QueryCache {
             self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         } else {
             self.miss_counter.incr();
-            self.misses.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.misses
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
         got
     }

@@ -46,7 +46,8 @@ pub fn synthetic_model(n_per_modality: usize, dim: usize, seed: u64) -> TrainedM
             )
         })
         .collect();
-    let spatial = SpatialHotspots::from_centers(&geo_centers, MeanShiftParams::with_bandwidth(0.02));
+    let spatial =
+        SpatialHotspots::from_centers(&geo_centers, MeanShiftParams::with_bandwidth(0.02));
 
     let mut vocab = Vocabulary::new();
     for i in 0..n {

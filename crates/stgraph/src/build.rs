@@ -137,7 +137,10 @@ impl<'a> ActivityGraphBuilder<'a> {
     /// Counts one record into `acc` (one shard's private accumulator).
     fn accumulate(&self, space: NodeSpace, rid: RecordId, acc: &mut ShardAcc) {
         let r = self.corpus.record(rid);
-        let t = space.node(NodeType::Time, self.temporal.assign_timestamp(r.timestamp).0);
+        let t = space.node(
+            NodeType::Time,
+            self.temporal.assign_timestamp(r.timestamp).0,
+        );
         let l = space.node(NodeType::Location, self.spatial.assign(r.location).0);
         // Distinct keywords: each co-occurrence counts once per record
         // (Definition 1's example sets all weights of one record to 1).
@@ -250,8 +253,7 @@ mod tests {
         let (corpus, _) = generate(DatasetPreset::Utgeo2011.small_config(42)).unwrap();
         let points: Vec<GeoPoint> = corpus.records().iter().map(|r| r.location).collect();
         let seconds: Vec<f64> = corpus.records().iter().map(|r| r.second_of_day()).collect();
-        let spatial =
-            SpatialHotspots::detect(&points, MeanShiftParams::with_bandwidth(0.01), 3);
+        let spatial = SpatialHotspots::detect(&points, MeanShiftParams::with_bandwidth(0.01), 3);
         let temporal =
             TemporalHotspots::detect(&seconds, MeanShiftParams::with_bandwidth(1800.0), 3);
         let ids: Vec<RecordId> = (0..corpus.len()).map(RecordId::from).collect();
@@ -309,7 +311,10 @@ mod tests {
         .0;
         let w_ut = with.edges(EdgeType::UT).unwrap().total_weight();
         let wo_ut = without.edges(EdgeType::UT).unwrap().total_weight();
-        assert!(w_ut > wo_ut, "mentions should add UT weight: {w_ut} vs {wo_ut}");
+        assert!(
+            w_ut > wo_ut,
+            "mentions should add UT weight: {w_ut} vs {wo_ut}"
+        );
     }
 
     #[test]

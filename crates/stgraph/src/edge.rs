@@ -128,6 +128,9 @@ mod tests {
         for e in EdgeType::INTER {
             assert!(e.is_inter());
         }
-        assert_eq!(EdgeType::INTRA.len() + EdgeType::INTER.len(), EdgeType::ALL.len());
+        assert_eq!(
+            EdgeType::INTRA.len() + EdgeType::INTER.len(),
+            EdgeType::ALL.len()
+        );
     }
 }

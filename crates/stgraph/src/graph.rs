@@ -72,7 +72,10 @@ impl ActivityGraph {
 
     /// Edges of `ty`, if that type has any.
     pub fn edges(&self, ty: EdgeType) -> Option<&TypedEdges> {
-        let idx = EdgeType::ALL.iter().position(|t| *t == ty).expect("known type");
+        let idx = EdgeType::ALL
+            .iter()
+            .position(|t| *t == ty)
+            .expect("known type");
         self.per_type[idx].as_ref()
     }
 
@@ -83,11 +86,7 @@ impl ActivityGraph {
 
     /// Total number of distinct edges across all types (|E| of Table 1).
     pub fn n_edges(&self) -> usize {
-        self.per_type
-            .iter()
-            .flatten()
-            .map(|t| t.edges.len())
-            .sum()
+        self.per_type.iter().flatten().map(|t| t.edges.len()).sum()
     }
 
     /// Weighted degree of `node` within edge type `ty` (`d_i^e`, Eq. 3).

@@ -101,13 +101,41 @@ impl MetaGraph {
     /// the full `{T, L, W}` for `M0`.
     pub fn unit_set(self) -> UnitSet {
         match self {
-            MetaGraph::M0 => UnitSet { time: true, location: true, word: true },
-            MetaGraph::M1 => UnitSet { time: true, location: false, word: false },
-            MetaGraph::M2 => UnitSet { time: false, location: true, word: false },
-            MetaGraph::M3 => UnitSet { time: false, location: false, word: true },
-            MetaGraph::M4 => UnitSet { time: true, location: true, word: false },
-            MetaGraph::M5 => UnitSet { time: true, location: false, word: true },
-            MetaGraph::M6 => UnitSet { time: false, location: true, word: true },
+            MetaGraph::M0 => UnitSet {
+                time: true,
+                location: true,
+                word: true,
+            },
+            MetaGraph::M1 => UnitSet {
+                time: true,
+                location: false,
+                word: false,
+            },
+            MetaGraph::M2 => UnitSet {
+                time: false,
+                location: true,
+                word: false,
+            },
+            MetaGraph::M3 => UnitSet {
+                time: false,
+                location: false,
+                word: true,
+            },
+            MetaGraph::M4 => UnitSet {
+                time: true,
+                location: true,
+                word: false,
+            },
+            MetaGraph::M5 => UnitSet {
+                time: true,
+                location: false,
+                word: true,
+            },
+            MetaGraph::M6 => UnitSet {
+                time: false,
+                location: true,
+                word: true,
+            },
         }
     }
 
@@ -157,9 +185,7 @@ impl MetaGraph {
                 NodeType::Word => EdgeType::UW,
                 NodeType::User => unreachable!("unit sets never contain User"),
             };
-            graph
-                .edges(et)
-                .map_or(0.0, |te| te.csr.degree(u) as f64)
+            graph.edges(et).map_or(0.0, |te| te.csr.degree(u) as f64)
         };
         let types = self.unit_set().types();
         // Sharded over the user-interaction edge list; degrees are integer
@@ -226,14 +252,8 @@ mod tests {
     fn edge_types_match_unit_sets() {
         assert_eq!(MetaGraph::M0.edge_types(), EdgeType::INTRA.to_vec());
         assert_eq!(MetaGraph::M1.edge_types(), vec![EdgeType::UT]);
-        assert_eq!(
-            MetaGraph::M4.edge_types(),
-            vec![EdgeType::UT, EdgeType::UL]
-        );
-        assert_eq!(
-            MetaGraph::M6.edge_types(),
-            vec![EdgeType::UW, EdgeType::UL]
-        );
+        assert_eq!(MetaGraph::M4.edge_types(), vec![EdgeType::UT, EdgeType::UL]);
+        assert_eq!(MetaGraph::M6.edge_types(), vec![EdgeType::UW, EdgeType::UL]);
     }
 
     #[test]

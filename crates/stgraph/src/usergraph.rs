@@ -46,10 +46,8 @@ impl UserGraph {
     }
 
     fn from_weights(n_users: u32, weights: HashMap<(UserId, UserId), f64>) -> Self {
-        let mut edges: Vec<(UserId, UserId, f64)> = weights
-            .into_iter()
-            .map(|((a, b), w)| (a, b, w))
-            .collect();
+        let mut edges: Vec<(UserId, UserId, f64)> =
+            weights.into_iter().map(|((a, b), w)| (a, b, w)).collect();
         edges.sort_by_key(|&(a, b, _)| (a, b));
 
         let mut degree = vec![0u32; n_users as usize];
@@ -127,11 +125,11 @@ mod tests {
 
     fn corpus_with_mentions() -> Corpus {
         let recs = vec![
-            rec(0, &[1]),       // 0 -> 1
-            rec(1, &[0]),       // 1 -> 0 (same pair again)
-            rec(2, &[0, 1]),    // 2 -> 0, 2 -> 1
-            rec(3, &[3]),       // self-mention, ignored
-            rec(1, &[]),        // no mentions
+            rec(0, &[1]),    // 0 -> 1
+            rec(1, &[0]),    // 1 -> 0 (same pair again)
+            rec(2, &[0, 1]), // 2 -> 0, 2 -> 1
+            rec(3, &[3]),    // self-mention, ignored
+            rec(1, &[]),     // no mentions
         ];
         Corpus::new("t", recs, Vocabulary::new(), 5).unwrap()
     }

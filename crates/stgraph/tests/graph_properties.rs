@@ -23,10 +23,7 @@ fn corpus_from(rows: Vec<Row>, n_users: u32, vocab_size: u8) -> Corpus {
             id: RecordId::from(i),
             user: UserId(user as u32 % n_users),
             timestamp: hour as i64 % 24 * 3600,
-            location: GeoPoint::new(
-                (latc % 8) as f64 * 0.1,
-                (lonc % 8) as f64 * 0.1,
-            ),
+            location: GeoPoint::new((latc % 8) as f64 * 0.1, (lonc % 8) as f64 * 0.1),
             keywords: kws
                 .into_iter()
                 .map(|k| KeywordId(k as u32 % vocab_size.max(1) as u32))

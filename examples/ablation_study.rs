@@ -15,7 +15,10 @@ fn main() {
     base.threads = 2;
     base.max_epochs = 40;
 
-    println!("\n{:<18} {:>8} {:>8} {:>8}", "variant", "Text", "Location", "Time");
+    println!(
+        "\n{:<18} {:>8} {:>8} {:>8}",
+        "variant", "Text", "Location", "Time"
+    );
     println!("{}", "-".repeat(48));
     for variant in Variant::ALL {
         let config = variant.apply(base.clone());

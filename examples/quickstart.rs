@@ -30,7 +30,11 @@ fn main() {
     // Cross-modal prediction on one held-out record: does the model rank
     // the record's true location above random test locations?
     let gt = corpus.record(split.test[0]);
-    let words: Vec<&str> = gt.keywords.iter().map(|&k| corpus.vocab().word(k)).collect();
+    let words: Vec<&str> = gt
+        .keywords
+        .iter()
+        .map(|&k| corpus.vocab().word(k))
+        .collect();
     println!(
         "\nquery record: \"{}\" at {} near ({:.4}, {:.4})",
         words.join(" "),

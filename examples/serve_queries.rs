@@ -12,8 +12,18 @@ use mobility::types::format_time_of_day;
 
 /// Prints a request (described by its kind) and the engine's answer.
 fn show(req: &QueryRequest, r: &QueryResponse) {
-    println!("  [{}] epoch {}{}", req.kind, r.epoch, if r.from_cache { " (cached)" } else { "" });
-    let words: Vec<String> = r.words.iter().take(5).map(|(w, s)| format!("{w} {s:.2}")).collect();
+    println!(
+        "  [{}] epoch {}{}",
+        req.kind,
+        r.epoch,
+        if r.from_cache { " (cached)" } else { "" }
+    );
+    let words: Vec<String> = r
+        .words
+        .iter()
+        .take(5)
+        .map(|(w, s)| format!("{w} {s:.2}"))
+        .collect();
     println!("    words : {}", words.join(", "));
     if let Some((s, score)) = r.times.first() {
         println!("    time  : {} {score:.2}", format_time_of_day(*s));
@@ -59,7 +69,10 @@ fn main() {
 
     // Ask the same thing twice: the second answer is a cache hit.
     let again = engine.query(&spatial).expect("spatial repeat");
-    println!("\nrepeat of the first query: from_cache = {}", again.from_cache);
+    println!(
+        "\nrepeat of the first query: from_cache = {}",
+        again.from_cache
+    );
 
     // Streaming updates publish straight into the engine: the engine is a
     // ModelSink, so one full publish at attach and then every 20 observed
@@ -75,7 +88,10 @@ fn main() {
     for &rid in &split.test {
         online.observe(corpus.record(rid));
     }
-    println!("engine now at epoch {} (publishes happen mid-query-load,", engine.epoch());
+    println!(
+        "engine now at epoch {} (publishes happen mid-query-load,",
+        engine.epoch()
+    );
     println!("in-flight readers keep the snapshot they started with)");
 
     // Cache keys carry the snapshot epoch, so the swap invalidated the

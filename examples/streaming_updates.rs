@@ -39,9 +39,7 @@ fn main() {
         let record = Record {
             id: mobility::RecordId(i),
             user: mobility::UserId(i % 50),
-            timestamp: mobility::synth::EPOCH_BASE
-                + (i as i64) * 600
-                + drift_second as i64,
+            timestamp: mobility::synth::EPOCH_BASE + (i as i64) * 600 + drift_second as i64,
             location: drift_place,
             keywords: vec![coffee],
             mentions: vec![],

@@ -41,8 +41,15 @@ fn main() {
             for (place, score) in &report.places {
                 println!("  ({:.4}, {:.4})  {score:.3}", place.lat, place.lon);
             }
-            println!("  related words: {}",
-                report.words.iter().map(|(w, _)| w.as_str()).collect::<Vec<_>>().join(", "));
+            println!(
+                "  related words: {}",
+                report
+                    .words
+                    .iter()
+                    .map(|(w, _)| w.as_str())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            );
         }
         None => println!("  'startup' not in vocabulary"),
     }

@@ -71,7 +71,5 @@ fn main() {
     );
 
     let daily_same = daily.time_node(saturday_noon) == daily.time_node(tuesday_noon);
-    println!(
-        "daily model: Saturday noon and Tuesday noon share a node: {daily_same}"
-    );
+    println!("daily model: Saturday noon and Tuesday noon share a node: {daily_same}");
 }

@@ -26,7 +26,11 @@ fn main() {
     let queries = build_queries(&split.test, &EvalParams::default());
     let q = &queries[0];
     let gt = corpus.record(q.record);
-    let words: Vec<&str> = gt.keywords.iter().map(|&k| corpus.vocab().word(k)).collect();
+    let words: Vec<&str> = gt
+        .keywords
+        .iter()
+        .map(|&k| corpus.vocab().word(k))
+        .collect();
 
     println!("\nthe held-out record:");
     println!("  what : \"{}\"", words.join(" "));

@@ -61,9 +61,7 @@ pub mod prelude {
         fit, fit_checkpointed, fit_resume, ActorConfig, ResilienceOptions, ResilienceReport,
         TrainedModel, Variant,
     };
-    pub use evalkit::{
-        evaluate_mrr, CrossModalModel, EvalParams, PredictionTask,
-    };
+    pub use evalkit::{evaluate_mrr, CrossModalModel, EvalParams, PredictionTask};
     pub use mobility::synth::{generate, DatasetPreset};
     pub use mobility::{Corpus, CorpusSplit, GeoPoint, Record, SplitSpec};
     pub use resilience::{CheckpointPolicy, FaultPlan, RetryPolicy};

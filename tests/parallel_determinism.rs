@@ -54,7 +54,10 @@ struct Fingerprint {
 fn fingerprint(corpus: &Corpus, train_ids: &[RecordId], n_threads: usize) -> Fingerprint {
     let _guard = par::override_threads(n_threads);
 
-    let points: Vec<GeoPoint> = train_ids.iter().map(|&id| corpus.record(id).location).collect();
+    let points: Vec<GeoPoint> = train_ids
+        .iter()
+        .map(|&id| corpus.record(id).location)
+        .collect();
     let seconds: Vec<f64> = train_ids
         .iter()
         .map(|&id| corpus.record(id).second_of_day())
@@ -72,15 +75,27 @@ fn fingerprint(corpus: &Corpus, train_ids: &[RecordId], n_threads: usize) -> Fin
         let edges = t.edges.iter().map(|e| (e.a.0, e.b.0, e.weight.to_bits()));
         let rows = (0..t.csr.n_rows() as u32).map(|i| {
             let (nodes, weights) = t.csr.row(NodeId(i));
-            (nodes.iter().map(|n| n.0).collect(), weights.iter().map(|w| w.to_bits()).collect())
+            (
+                nodes.iter().map(|n| n.0).collect(),
+                weights.iter().map(|w| w.to_bits()).collect(),
+            )
         });
         Some((edges.collect(), rows.collect()))
     });
     let units_print = units.iter().map(|u| {
         let words = u.words.iter().map(|w| w.0).collect();
-        (u.record.0, u.time.0, u.location.0, words, u.user.map(|n| n.0))
+        (
+            u.record.0,
+            u.time.0,
+            u.location.0,
+            words,
+            u.user.map(|n| n.0),
+        )
     });
-    let user_edges = user_graph.edges().iter().map(|&(a, b, w)| (a.0, b.0, w.to_bits()));
+    let user_edges = user_graph
+        .edges()
+        .iter()
+        .map(|&(a, b, w)| (a.0, b.0, w.to_bits()));
     let user_rows = (0..user_graph.n_users()).map(|u| {
         let row = user_graph.neighbors(UserId(u));
         row.iter().map(|&(v, w)| (v.0, w.to_bits())).collect()

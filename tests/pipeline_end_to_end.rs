@@ -18,7 +18,13 @@ fn actor_beats_the_random_baseline_on_all_tasks() {
     // model must clear it decisively on text/location and beat it on time.
     let params = EvalParams::default();
     let text = evaluate_mrr(&model, &corpus, &split.test, PredictionTask::Text, &params);
-    let loc = evaluate_mrr(&model, &corpus, &split.test, PredictionTask::Location, &params);
+    let loc = evaluate_mrr(
+        &model,
+        &corpus,
+        &split.test,
+        PredictionTask::Location,
+        &params,
+    );
     let time = evaluate_mrr(&model, &corpus, &split.test, PredictionTask::Time, &params);
     // Thresholds sit well above the floor but below full-budget scores —
     // this is a 3k-record corpus trained with the fast config.
@@ -73,8 +79,7 @@ fn different_seeds_give_different_models() {
 fn evaluation_never_sees_training_candidates() {
     // Queries draw noise exclusively from the test split.
     let (corpus, split) = setup(104);
-    let queries =
-        actor_st::eval::tasks::build_queries(&split.test, &EvalParams::default());
+    let queries = actor_st::eval::tasks::build_queries(&split.test, &EvalParams::default());
     let test_set: std::collections::HashSet<_> = split.test.iter().copied().collect();
     for q in &queries {
         assert!(test_set.contains(&q.record));

@@ -16,10 +16,8 @@ use actor_st::prelude::*;
 use actor_st::resilience::{CheckpointStore, InjectedFaultKind};
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "actor-resilience-e2e-{tag}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("actor-resilience-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
