@@ -177,3 +177,16 @@ fn metapath2vec_matches_the_golden_fingerprint() {
     let mp = train_metapath2vec(&corpus, &substrate, &MetapathParams::default(), &params);
     assert_eq!(store_fingerprint(mp.model().store()), 6156511567175481678);
 }
+
+#[test]
+fn crossmap_matches_the_golden_fingerprint() {
+    let (corpus, substrate, params) = golden_substrate();
+    for (variant, golden) in [
+        (CrossMapVariant::Plain, 17987206317903531416u64),
+        (CrossMapVariant::WithUsers, 5899061341214827424),
+    ] {
+        let cm = train_crossmap(&corpus, &substrate, variant, &params);
+        let got = store_fingerprint(cm.model().store());
+        assert_eq!(got, golden, "{}", variant.name());
+    }
+}
