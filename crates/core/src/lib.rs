@@ -34,6 +34,6 @@ pub use config::ActorConfig;
 pub use error::{ConfigError, FitError, PersistError};
 pub use model::{ModelArtifacts, TrainedModel};
 pub use online::{OnlineActor, OnlineParams};
-pub use pipeline::{fit, FitReport};
+pub use pipeline::{detect_hotspots, fit, FitReport};
 pub use publish::{ModelSink, StoreDelta};
 pub use resilient::{fit_checkpointed, fit_resume, ResilienceOptions, ResilienceReport};

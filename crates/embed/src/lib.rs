@@ -15,7 +15,11 @@
 //!   the loss logarithms of each slot,
 //! * [`store`] — center/context matrices with lock-free shared mutation
 //!   behind an explicit Hogwild contract,
-//! * [`sgd`] — the per-edge negative-sampling update,
+//! * [`sgd`] — the negative-sampling update, one kernel
+//!   ([`NegativeSamplingUpdate::step_bag`]; a plain pair step is its
+//!   one-row case). It holds the only three racy row writes in the
+//!   workspace: the positive context row, each negative context row, and
+//!   each center-bag row.
 //! * [`mod@line`] — LINE (first/second order) for arbitrary weighted graphs:
 //!   the user-layer pre-trainer of Algorithm 1 line 3 and the LINE
 //!   baseline of Table 2.

@@ -111,94 +111,45 @@ impl NegativeSamplingUpdate {
     }
 
     /// Applies one stochastic step for the observed pair
-    /// (`center`, `context`), drawing negatives from `sample_negative`.
-    ///
-    /// Implements Eq. 7 with gradients Eqs. 8–10: the center row
-    /// accumulates `Σ g·x'` over the positive and all negatives (Eq. 8 /
-    /// Eq. 12) while each context row moves by `g·x` (Eqs. 9–10 / 13–14).
-    /// Returns the (approximate) loss contribution for monitoring.
-    ///
-    /// Races with other threads are accepted per the Hogwild contract of
-    /// [`crate::store::Matrix`].
+    /// (`center`, `context`), drawing negatives from `sample_negative`:
+    /// the one-row case of [`NegativeSamplingUpdate::step_bag`], whose
+    /// doc states the update.
     pub fn step<R, F>(
         &mut self,
         store: &EmbeddingStore,
         center: usize,
         context: usize,
         rng: &mut R,
-        mut sample_negative: F,
+        sample_negative: F,
     ) -> f64
     where
         R: Rng + ?Sized,
         F: FnMut(&mut R) -> usize,
     {
-        self.note_step();
-        let lr = self.params.learning_rate;
-        let clip = self.params.grad_clip;
-        self.grad.iter_mut().for_each(|g| *g = 0.0);
-        let mut loss = 0.0f64;
-
-        // SAFETY: Hogwild contract — racy f32 rows, see store.rs.
-        let x_center = unsafe { store.centers.row_mut_racy(center) };
-        // The center row is only written after the pair loop, so its norm
-        // is stable for the whole step.
-        let center_norm = if clip > 0.0 {
-            crate::math::norm(x_center)
-        } else {
-            0.0
-        };
-
-        // Positive pair: label 1.
-        {
-            let x_ctx = unsafe { store.contexts.row_mut_racy(context) };
-            let sig = self.sigmoid.lookup(crate::math::dot(x_center, x_ctx));
-            let mut g = (1.0 - sig.value) * lr; // −∂J/∂score · η
-            if clip > 0.0 {
-                g = clip_logit_grad(g, center_norm, clip);
-            }
-            loss -= sig.ln_value;
-            crate::math::pair_update(g, x_center, x_ctx, &mut self.grad);
-        }
-
-        // Negative pairs: label 0.
-        for _ in 0..self.params.negatives {
-            let neg = sample_negative(rng);
-            if neg == context {
-                continue; // drawing the observed context teaches nothing
-            }
-            let x_neg = unsafe { store.contexts.row_mut_racy(neg) };
-            let sig = self.sigmoid.lookup(crate::math::dot(x_center, x_neg));
-            let mut g = -sig.value * lr;
-            if clip > 0.0 {
-                g = clip_logit_grad(g, center_norm, clip);
-            }
-            loss -= sig.ln_complement;
-            crate::math::pair_update(g, x_center, x_neg, &mut self.grad);
-        }
-
-        self.clip_accumulated_grad();
-        crate::math::axpy(1.0, &self.grad, x_center);
-        loss
+        self.step_bag(
+            store,
+            std::slice::from_ref(&center),
+            context,
+            rng,
+            sample_negative,
+        )
     }
 
-    /// Rescales the accumulated center-row gradient so its L2 norm is at
-    /// most `grad_clip` (no-op when clipping is disabled).
-    #[inline]
-    fn clip_accumulated_grad(&mut self) {
-        let clip = self.params.grad_clip;
-        if clip > 0.0 {
-            let norm = crate::math::norm(&self.grad);
-            if norm > clip {
-                let scale = clip / norm;
-                self.grad.iter_mut().for_each(|g| *g *= scale);
-            }
-        }
-    }
-
-    /// Like [`NegativeSamplingUpdate::step`], but the *center* side is a
-    /// bag of vertices whose summed embedding represents the text
-    /// (footnote 4). The gradient w.r.t. the sum distributes to every
-    /// member of the bag.
+    /// Applies one stochastic step for the observed pair (`bag`,
+    /// `context`), drawing negatives from `sample_negative`. The center
+    /// side is the sum of the bag's center rows: a word bag represents a
+    /// record's text this way (footnote 4), and a one-row bag is the plain
+    /// pair update of [`NegativeSamplingUpdate::step`].
+    ///
+    /// Implements Eq. 7 with gradients Eqs. 8–10: the center sum
+    /// accumulates `Σ g·x'` over the positive and all negatives (Eq. 8 /
+    /// Eq. 12), and that gradient is added to every member of the bag,
+    /// while each context row moves by `g·x` (Eqs. 9–10 / 13–14). Returns
+    /// the (approximate) loss contribution for monitoring; an empty bag
+    /// is a no-op with loss `0.0`.
+    ///
+    /// Races with other threads are accepted per the Hogwild contract of
+    /// [`crate::store::Matrix`].
     pub fn step_bag<R, F>(
         &mut self,
         store: &EmbeddingStore,
@@ -222,7 +173,8 @@ impl NegativeSamplingUpdate {
         let mut loss = 0.0f64;
 
         // Materialize the bag sum in the reusable scratch buffer (reads
-        // are racy-but-benign).
+        // are racy-but-benign). The rows are only written after the pair
+        // loop, from the accumulated gradient.
         debug_assert_eq!(self.bag_sum.len(), dim);
         self.bag_sum.iter_mut().for_each(|x| *x = 0.0);
         for &b in bag {
@@ -234,20 +186,23 @@ impl NegativeSamplingUpdate {
             0.0
         };
 
+        // Positive pair: label 1.
         {
+            // SAFETY: Hogwild contract — racy f32 rows, see store.rs.
             let x_ctx = unsafe { store.contexts.row_mut_racy(context) };
             let sig = self.sigmoid.lookup(crate::math::dot(&self.bag_sum, x_ctx));
-            let mut g = (1.0 - sig.value) * lr;
+            let mut g = (1.0 - sig.value) * lr; // −∂J/∂score · η
             if clip > 0.0 {
                 g = clip_logit_grad(g, sum_norm, clip);
             }
             loss -= sig.ln_value;
             crate::math::pair_update(g, &self.bag_sum, x_ctx, &mut self.grad);
         }
+        // Negative pairs: label 0.
         for _ in 0..self.params.negatives {
             let neg = sample_negative(rng);
             if neg == context {
-                continue;
+                continue; // drawing the observed context teaches nothing
             }
             let x_neg = unsafe { store.contexts.row_mut_racy(neg) };
             let sig = self.sigmoid.lookup(crate::math::dot(&self.bag_sum, x_neg));
@@ -259,7 +214,14 @@ impl NegativeSamplingUpdate {
             crate::math::pair_update(g, &self.bag_sum, x_neg, &mut self.grad);
         }
 
-        self.clip_accumulated_grad();
+        // Clip the accumulated center gradient to `grad_clip` in L2.
+        if clip > 0.0 {
+            let norm = crate::math::norm(&self.grad);
+            if norm > clip {
+                let scale = clip / norm;
+                self.grad.iter_mut().for_each(|g| *g *= scale);
+            }
+        }
         for &b in bag {
             let row = unsafe { store.centers.row_mut_racy(b) };
             crate::math::axpy(1.0, &self.grad, row);

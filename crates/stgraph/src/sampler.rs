@@ -10,6 +10,7 @@ use crate::node::{NodeId, NodeType};
 /// O(1) weighted edge sampler for one edge type of an activity graph.
 #[derive(Debug, Clone)]
 pub struct EdgeSampler {
+    ty: EdgeType,
     edges: Vec<(NodeId, NodeId)>,
     alias: AliasTable,
 }
@@ -22,6 +23,7 @@ impl EdgeSampler {
         let weights: Vec<f64> = typed.edges.iter().map(|e| e.weight).collect();
         let alias = AliasTable::new(&weights)?;
         Some(Self {
+            ty,
             edges: typed.edges.iter().map(|e| (e.a, e.b)).collect(),
             alias,
         })
@@ -37,11 +39,27 @@ impl EdgeSampler {
         self.edges.is_empty()
     }
 
-    /// Draws an edge proportionally to its weight. The returned pair is in
-    /// canonical endpoint order; the trainer flips direction separately.
+    /// Draws an edge proportionally to its weight, in canonical endpoint
+    /// order.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (NodeId, NodeId) {
         self.edges[self.alias.sample(rng)]
+    }
+
+    /// Draws an edge as [`EdgeSampler::sample`] does and orients it for
+    /// one skip-gram step: `(center, context, context side)`. An edge
+    /// between two vertex types trains in both directions, so one fair
+    /// coin, drawn after the edge, makes the first endpoint the context
+    /// half of the time; a same-type edge (`WW`) draws no coin.
+    #[inline]
+    pub fn sample_oriented<R: Rng + ?Sized>(&self, rng: &mut R) -> (NodeId, NodeId, NodeType) {
+        let (a, b) = self.sample(rng);
+        let (ta, tb) = self.ty.endpoints();
+        if ta != tb && rng.random::<bool>() {
+            (b, a, ta)
+        } else {
+            (a, b, tb)
+        }
     }
 
     /// The canonical edge list backing the sampler.
@@ -195,6 +213,26 @@ mod tests {
         }
         let f = heavy as f64 / n as f64;
         assert!((f - 0.9).abs() < 0.01, "{f}");
+    }
+
+    #[test]
+    fn oriented_draws_name_the_context_side_and_use_both_directions() {
+        let g = graph();
+        let s = EdgeSampler::new(&g, EdgeType::TL).unwrap();
+        let space = g.space();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut flipped = 0usize;
+        let n = 10_000;
+        for _ in 0..n {
+            let (center, context, side) = s.sample_oriented(&mut rng);
+            assert_eq!(space.type_of(context), side);
+            assert_ne!(space.type_of(center), side);
+            if side == NodeType::Time {
+                flipped += 1;
+            }
+        }
+        let f = flipped as f64 / n as f64;
+        assert!((f - 0.5).abs() < 0.02, "{f}");
     }
 
     #[test]
