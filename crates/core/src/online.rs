@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 
 use embed::{EmbeddingStore, NegativeSamplingUpdate, SgdParams};
-use mobility::{GeoPoint, Record};
+use mobility::Record;
 use rand::seq::IndexedRandom;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use stgraph::{NodeId, NodeType};
@@ -239,12 +239,7 @@ impl OnlineActor {
     /// hotspot/user assignment where it would corrupt nearest-neighbor
     /// lookups (NaN poisons every distance comparison).
     fn admissible(&self, record: &Record) -> bool {
-        let GeoPoint { lat, lon } = record.location;
-        lat.is_finite()
-            && lon.is_finite()
-            && (-90.0..=90.0).contains(&lat)
-            && (-180.0..=180.0).contains(&lon)
-            && record.user.0 < self.model.space().n_user
+        record.location.validate().is_ok() && record.user.0 < self.model.space().n_user
     }
 
     /// Observes one record: assigns its units, applies SGD steps for its

@@ -10,7 +10,7 @@
 use std::fmt;
 
 use mobility::types::format_time_of_day;
-use mobility::GeoPoint;
+use mobility::{CoordinateFault, GeoPoint};
 
 /// Which result modalities a query wants back. Skipping a modality skips
 /// its index walk entirely.
@@ -199,6 +199,11 @@ pub enum QueryError {
     UnknownWord(String),
     /// A composite query with no observed modality at all.
     EmptyQuery,
+    /// The observed second-of-day is NaN or infinite. A finite one
+    /// outside `[0, period)` is valid and wraps.
+    NonFiniteTime,
+    /// The observed point fails [`GeoPoint::validate`].
+    InvalidPoint(CoordinateFault),
 }
 
 impl std::fmt::Display for QueryError {
@@ -206,6 +211,8 @@ impl std::fmt::Display for QueryError {
         match self {
             Self::UnknownWord(w) => write!(f, "word {w:?} is not in the model vocabulary"),
             Self::EmptyQuery => write!(f, "composite query observed no modality"),
+            Self::NonFiniteTime => write!(f, "observed second-of-day is not finite"),
+            Self::InvalidPoint(fault) => write!(f, "observed point is invalid ({fault:?})"),
         }
     }
 }
