@@ -21,7 +21,7 @@ use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::synth::{generate, DatasetPreset};
 use mobility::GeoPoint;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use serve::hnsw::{HnswIndex, HnswParams, SearchScratch, VectorSource};
+use serve::hnsw::{HnswIndex, SearchScratch, VectorSource};
 use serve::testkit::clustered_unit_vectors;
 use stgraph::{ActivityGraphBuilder, AliasTable, BuildOptions};
 
@@ -77,9 +77,9 @@ fn bench_hnsw(c: &mut Criterion) {
     let mut group = c.benchmark_group("hnsw");
     group.sample_size(5);
     group.bench_function("build_3k_d64", |b| {
-        b.iter(|| HnswIndex::build(black_box(&vecs), HnswParams::default()))
+        b.iter(|| HnswIndex::build(black_box(&vecs)))
     });
-    let index = HnswIndex::build(&vecs, HnswParams::default());
+    let index = HnswIndex::build(&vecs);
     group.sample_size(20);
     group.bench_function("search_3k_d64_k10", |b| {
         let mut scratch = SearchScratch::new();

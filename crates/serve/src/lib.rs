@@ -54,7 +54,7 @@ pub mod testkit;
 
 pub use cache::QueryCache;
 pub use engine::{EngineParams, EngineStats, QueryEngine};
-pub use hnsw::{HnswIndex, HnswParams, SearchScratch};
+pub use hnsw::{HnswIndex, SearchScratch};
 pub use query::{ModalityMask, QueryError, QueryKind, QueryRequest, QueryResponse};
 pub use snapshot::{IndexParams, Snapshot};
 pub use swap::SnapshotCell;

@@ -35,7 +35,7 @@ use embed::NormalizedRows;
 use mobility::KeywordId;
 use stgraph::{NodeId, NodeSpace, NodeType};
 
-use crate::hnsw::{exact_top_k, HnswIndex, HnswParams, SearchScratch, VectorSource};
+use crate::hnsw::{exact_top_k, HnswIndex, SearchScratch, VectorSource};
 
 /// Index-build policy for snapshots.
 #[derive(Debug, Clone, Copy)]
@@ -45,24 +45,21 @@ pub struct IndexParams {
     /// that size). Set to 0 to force ANN everywhere (conformance tests),
     /// `usize::MAX` to force exact everywhere (reference behavior).
     pub ann_threshold: usize,
-    /// Ceiling on the per-modality dirty fraction a delta apply will
-    /// patch incrementally; above it the modality's HNSW graph is rebuilt
-    /// from scratch instead (rebuilding is cheaper than re-inserting most
-    /// of the elements, and yields a fresher graph).
-    pub rebuild_fraction: f64,
-    /// HNSW construction/search parameters for indexed modalities.
-    pub hnsw: HnswParams,
 }
 
 impl Default for IndexParams {
     fn default() -> Self {
         Self {
             ann_threshold: 2048,
-            rebuild_fraction: 0.3,
-            hnsw: HnswParams::default(),
         }
     }
 }
+
+/// Ceiling on the per-modality dirty fraction a delta apply patches
+/// incrementally; above it the modality's HNSW graph is rebuilt from
+/// scratch instead (rebuilding is cheaper than re-inserting most of the
+/// elements, and yields a fresher graph).
+const REBUILD_FRACTION: f64 = 0.3;
 
 /// One modality's slice of the normalized row store.
 struct ModalView<'a> {
@@ -142,7 +139,7 @@ impl Snapshot {
             })
             .collect();
         let mut graphs = par::par_map(&indexed, |_, &ty| {
-            HnswIndex::build(&ModalView::new(&norms, &space, ty), params.hnsw)
+            HnswIndex::build(&ModalView::new(&norms, &space, ty))
         })
         .into_iter();
         let indexes = NodeType::ALL.map(|ty| {
@@ -168,8 +165,7 @@ impl Snapshot {
     /// Clean rows — raw and normalized — are carried over bit-identically,
     /// and each dirty node is re-inserted into the previous HNSW graph
     /// ([`HnswIndex::update_row`]); a modality whose dirty fraction
-    /// exceeds [`IndexParams::rebuild_fraction`] is rebuilt from scratch
-    /// instead.
+    /// exceeds 30% is rebuilt from scratch instead.
     ///
     /// Falls back to a full [`Snapshot::build`] when the model does not
     /// descend from `prev` — different artifact `Arc` (a new training
@@ -214,8 +210,8 @@ impl Snapshot {
                     .filter(|&r| r >= offset && r < offset + count)
                     .map(|r| (r - offset) as u32)
                     .collect();
-                if dirty.len() as f64 > params.rebuild_fraction * count as f64 {
-                    ModalIndex::Ann(HnswIndex::build(&view, params.hnsw))
+                if dirty.len() as f64 > REBUILD_FRACTION * count as f64 {
+                    ModalIndex::Ann(HnswIndex::build(&view))
                 } else {
                     let mut index = index.clone();
                     for &id in &dirty {
@@ -382,10 +378,7 @@ mod tests {
     #[test]
     fn forced_ann_still_finds_the_query_node_itself() {
         let m = model();
-        let forced = IndexParams {
-            ann_threshold: 0,
-            ..IndexParams::default()
-        };
+        let forced = IndexParams { ann_threshold: 0 };
         let snap = Snapshot::build(&m, &forced, 2);
         assert!(snap.is_ann(NodeType::Word));
         let mut scratch = SearchScratch::new();
@@ -401,10 +394,7 @@ mod tests {
     #[test]
     fn concurrent_builds_give_the_same_graphs_at_any_thread_count() {
         let m = crate::testkit::synthetic_model(400, 16, 5);
-        let forced = IndexParams {
-            ann_threshold: 0,
-            ..IndexParams::default()
-        };
+        let forced = IndexParams { ann_threshold: 0 };
         let build = |threads| {
             let _threads = par::override_threads(threads);
             Snapshot::build(&m, &forced, 1)

@@ -165,7 +165,6 @@ fn stream_and_apply(
 fn delta_applied_snapshot_answers_identically_to_from_scratch_build() {
     let exact = IndexParams {
         ann_threshold: usize::MAX,
-        ..IndexParams::default()
     };
     let mut model = synthetic_model(1024, 16, 17);
     let mut rng = StdRng::seed_from_u64(18);
@@ -200,10 +199,7 @@ fn delta_applied_snapshot_answers_identically_to_from_scratch_build() {
 /// against the exact scan stays high.
 #[test]
 fn delta_patched_ann_index_stays_accurate() {
-    let forced = IndexParams {
-        ann_threshold: 0,
-        ..IndexParams::default()
-    };
+    let forced = IndexParams { ann_threshold: 0 };
     let mut model = synthetic_model(1024, 16, 19);
     let mut rng = StdRng::seed_from_u64(20);
     let base = Snapshot::build(&model, &forced, 1);
@@ -245,10 +241,7 @@ fn streamed_deltas_keep_every_served_row_equal_to_the_model() {
     let (every, records) = (5, 40);
     for ann_threshold in [usize::MAX, 0] {
         let params = EngineParams {
-            index: IndexParams {
-                ann_threshold,
-                ..IndexParams::default()
-            },
+            index: IndexParams { ann_threshold },
             ..EngineParams::default()
         };
         let engine = Arc::new(QueryEngine::new(&model, params));
@@ -283,10 +276,7 @@ fn ann_engine_and_exact_engine_agree_on_top_results() {
     let ann = QueryEngine::new(
         &model,
         EngineParams {
-            index: IndexParams {
-                ann_threshold: 0,
-                ..IndexParams::default()
-            },
+            index: IndexParams { ann_threshold: 0 },
             ..EngineParams::default()
         },
     );
@@ -295,7 +285,6 @@ fn ann_engine_and_exact_engine_agree_on_top_results() {
         EngineParams {
             index: IndexParams {
                 ann_threshold: usize::MAX,
-                ..IndexParams::default()
             },
             ..EngineParams::default()
         },
@@ -347,10 +336,7 @@ fn response_bits(r: &QueryResponse) -> ResponseBits {
 fn cache_hits_equal_fresh_misses_bit_for_bit() {
     let model = synthetic_model(256, 16, 23);
     let params = EngineParams {
-        index: IndexParams {
-            ann_threshold: 0,
-            ..IndexParams::default()
-        },
+        index: IndexParams { ann_threshold: 0 },
         ..EngineParams::default()
     };
     let masks: Vec<ModalityMask> = (1u8..8)
