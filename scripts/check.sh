@@ -3,6 +3,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== cargo fmt --check (the workspace is rustfmt-clean) =="
+cargo fmt --all --check
+
 echo "== cargo build --release =="
 cargo build --workspace --release
 
