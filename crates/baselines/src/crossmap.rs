@@ -9,13 +9,11 @@
 //! fills. CrossMap(U) additionally rotates over the user-to-unit edge
 //! types on the augmented graph.
 
-use std::collections::HashMap;
-
 use actor_core::TrainedModel;
-use embed::{EmbeddingStore, NegativeSamplingUpdate};
+use embed::{annealed, EmbeddingStore, NegativeSamplingUpdate};
 use mobility::{Corpus, SECONDS_PER_DAY};
 use rand::Rng;
-use stgraph::{EdgeSampler, EdgeType, NegativeTable, NodeType};
+use stgraph::{EdgeTables, EdgeType, NodeType, NEGATIVE_POWER};
 
 use crate::line_family::placeholder_config;
 use crate::params::BaselineParams;
@@ -106,47 +104,31 @@ pub fn train_crossmap(
     };
     let space = *graph.space();
 
-    let mut edge_types: Vec<EdgeType> = EdgeType::INTRA.to_vec();
-    if variant == CrossMapVariant::WithUsers {
-        edge_types.extend(EdgeType::INTER);
-    }
-    let mut samplers: HashMap<EdgeType, EdgeSampler> = HashMap::new();
-    let mut neg: HashMap<(EdgeType, NodeType), NegativeTable> = HashMap::new();
-    for &ty in &edge_types {
-        if let Some(s) = EdgeSampler::new(graph, ty) {
-            samplers.insert(ty, s);
-        }
-        let (a, b) = ty.endpoints();
-        for side in [a, b] {
-            if let Some(t) = NegativeTable::new(graph, ty, side) {
-                neg.insert((ty, side), t);
-            }
-        }
-    }
+    let edge_types: &[EdgeType] = match variant {
+        CrossMapVariant::Plain => &EdgeType::INTRA,
+        CrossMapVariant::WithUsers => &EdgeType::ALL,
+    };
+    let tables = EdgeTables::build(graph, edge_types, NEGATIVE_POWER);
     let (t_pairs, l_pairs) = smoothing_pairs(substrate, &space);
 
     let mut init_rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(params.seed);
     let store = EmbeddingStore::init(space.len(), params.dim, &mut init_rng);
 
     // Budget: per-type batches follow each type's share of the total
-    // co-occurrence weight (matching the weighted objective; see
-    // actor_core::pipeline::train_loop), plus ~1/14 of the budget on
+    // co-occurrence weight, as ACTOR's do, plus ~1/14 of the budget on
     // continuity smoothing.
     let batch = 256u64;
-    let n_types = samplers.len().max(1) as u64;
+    let n_types = edge_types
+        .iter()
+        .filter(|&&t| tables.sampler(t).is_some())
+        .count()
+        .max(1) as u64;
     let total_w: f64 = edge_types
         .iter()
-        .filter_map(|&t| graph.edges(t))
-        .map(|te| te.total_weight())
+        .map(|&t| tables.weight(t))
         .sum::<f64>()
         .max(1e-12);
-    let per_type_batch: HashMap<EdgeType, u64> = edge_types
-        .iter()
-        .map(|&t| {
-            let share = graph.edges(t).map_or(0.0, |te| te.total_weight()) / total_w;
-            (t, ((n_types * batch) as f64 * share).round() as u64)
-        })
-        .collect();
+    let batches = tables.batches(edge_types, (n_types * batch) as f64, total_w);
     let smooth_per_round = batch / 4;
     let per_round = n_types * batch + 2 * smooth_per_round;
     let rounds = (params.samples / per_round).max(1);
@@ -155,24 +137,18 @@ pub fn train_crossmap(
         let mut upd = NegativeSamplingUpdate::new(params.dim, params.sgd);
         let lr0 = params.sgd.learning_rate;
         for round in 0..n {
-            let progress = round as f32 / n as f32;
-            upd.set_learning_rate(lr0 * (1.0 - 0.9 * progress));
-            for &ty in &edge_types {
-                let Some(sampler) = samplers.get(&ty) else {
-                    continue;
-                };
-                let this_batch = per_type_batch.get(&ty).copied().unwrap_or(batch);
-                for _ in 0..this_batch {
-                    let (center, context, ctx_side) = sampler.sample_oriented(rng);
-                    if let Some(nt) = neg.get(&(ty, ctx_side)) {
+            upd.set_learning_rate(annealed(lr0, round as f32 / n as f32));
+            for &(ty, count) in &batches {
+                for _ in 0..count {
+                    if let Some((center, context, noise)) = tables.draw(ty, rng) {
                         upd.step(&store, center.idx(), context.idx(), rng, |r| {
-                            nt.sample(r).idx()
+                            noise.sample(r).idx()
                         });
                     }
                 }
             }
             // Continuity smoothing: adjacent times and nearby regions.
-            if let Some(nt) = neg.get(&(EdgeType::TL, NodeType::Time)) {
+            if let Some(nt) = tables.negatives(EdgeType::TL, NodeType::Time) {
                 for _ in 0..smooth_per_round {
                     if t_pairs.is_empty() {
                         break;
@@ -181,7 +157,7 @@ pub fn train_crossmap(
                     upd.step(&store, a, b, rng, |r| nt.sample(r).idx());
                 }
             }
-            if let Some(nl) = neg.get(&(EdgeType::TL, NodeType::Location)) {
+            if let Some(nl) = tables.negatives(EdgeType::TL, NodeType::Location) {
                 for _ in 0..smooth_per_round {
                     if l_pairs.is_empty() {
                         break;

@@ -8,7 +8,7 @@
 //! user graph is too sparse to walk (§6.2.3), hence its mid-table rank.
 
 use actor_core::TrainedModel;
-use embed::{EmbeddingStore, NegativeSamplingUpdate, SgdParams};
+use embed::{annealed, EmbeddingStore, NegativeSamplingUpdate, SgdParams};
 use mobility::Corpus;
 use rand::Rng;
 use stgraph::{ActivityGraph, AliasTable, EdgeType, NegativeTable, NodeId, NodeType};
@@ -57,15 +57,6 @@ struct TypedTransitions {
     tables: Vec<[Transition; 4]>,
 }
 
-fn type_index(ty: NodeType) -> usize {
-    match ty {
-        NodeType::Time => 0,
-        NodeType::Location => 1,
-        NodeType::Word => 2,
-        NodeType::User => 3,
-    }
-}
-
 impl TypedTransitions {
     fn build(graph: &ActivityGraph) -> Self {
         let space = graph.space();
@@ -89,7 +80,7 @@ impl TypedTransitions {
                     continue;
                 }
                 if let Some(alias) = AliasTable::new(weights) {
-                    table_row[type_index(to_ty)] = Some((neighbors.to_vec(), alias));
+                    table_row[to_ty.index()] = Some((neighbors.to_vec(), alias));
                 }
             }
         }
@@ -97,7 +88,7 @@ impl TypedTransitions {
     }
 
     fn step<R: Rng + ?Sized>(&self, from: NodeId, to_ty: NodeType, rng: &mut R) -> Option<NodeId> {
-        let slot = self.tables[from.idx()][type_index(to_ty)].as_ref()?;
+        let slot = self.tables[from.idx()][to_ty.index()].as_ref()?;
         Some(slot.0[slot.1.sample(rng)])
     }
 }
@@ -116,7 +107,7 @@ pub fn train_metapath2vec(
     // Start nodes: all vertices of the path's first type that can step.
     let starts: Vec<NodeId> = space
         .nodes_of(mp.path[0])
-        .filter(|&n| transitions.tables[n.idx()][type_index(mp.path[1 % mp.path.len()])].is_some())
+        .filter(|&n| transitions.tables[n.idx()][mp.path[1 % mp.path.len()].index()].is_some())
         .collect();
 
     // Negative table over all vertices by total weighted degree^{3/4}.
@@ -145,7 +136,7 @@ pub fn train_metapath2vec(
             let mut walk: Vec<NodeId> = Vec::with_capacity(mp.walk_length);
             for walk_idx in 0..n {
                 let progress = walk_idx as f32 / n as f32;
-                upd.set_learning_rate(lr0 * (1.0 - 0.9 * progress));
+                upd.set_learning_rate(annealed(lr0, progress));
                 // Generate one walk following the cyclic type pattern.
                 walk.clear();
                 let mut cur = starts[rng.random_range(0..starts.len())];

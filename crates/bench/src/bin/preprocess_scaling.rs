@@ -26,7 +26,7 @@ use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::synth::{generate, DatasetPreset};
 use mobility::{Corpus, GeoPoint, RecordId};
 use stgraph::{
-    ActivityGraphBuilder, BuildOptions, EdgeSampler, EdgeType, MetaGraph, NegativeTable, UserGraph,
+    ActivityGraphBuilder, BuildOptions, EdgeTables, EdgeType, MetaGraph, UserGraph, NEGATIVE_POWER,
 };
 
 /// Cheap per-run invariants; the determinism suite holds the strong
@@ -57,21 +57,14 @@ fn run_front_end(corpus: &Corpus, ids: &[RecordId]) -> (f64, Shape) {
     let (graph, _units) = builder.build(ids);
     let user_graph = UserGraph::build(corpus, ids);
 
-    let mut tables = 0usize;
-    for ty in EdgeType::ALL {
-        if EdgeSampler::new(&graph, ty).is_some() {
-            tables += 1;
-        }
-        let (a, b) = ty.endpoints();
-        for side in [a, b] {
-            if NegativeTable::new(&graph, ty, side).is_some() {
-                tables += 1;
-            }
-        }
-    }
+    let edge_tables = EdgeTables::build(&graph, &EdgeType::ALL, NEGATIVE_POWER);
+    let samplers = EdgeType::ALL
+        .iter()
+        .filter(|&&ty| edge_tables.sampler(ty).is_some())
+        .count();
     assert!(
-        tables >= 4,
-        "degenerate corpus: only {tables} sampler tables"
+        samplers >= 4,
+        "degenerate corpus: only {samplers} edge samplers"
     );
 
     let m4 = MetaGraph::M4.count_instances(&graph, &user_graph);

@@ -26,38 +26,31 @@ use crate::publish::{record_publish, ModelSink, StoreDelta};
 /// Streaming-update parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineParams {
-    /// Learning rate for streaming steps (smaller than batch training —
-    /// each record is seen once).
-    pub learning_rate: f32,
-    /// Negative samples per step.
-    pub negatives: usize,
-    /// SGD passes over each incoming record's unit pairs.
-    pub steps_per_record: usize,
-    /// Replayed buffer records per incoming record (recency replay).
-    pub replay: usize,
-    /// Recency buffer capacity.
-    pub buffer: usize,
-    /// L2 ceiling on any single streaming SGD update (`0.0` = off). The
-    /// stream is untrusted input, so the ceiling is on by default: one
-    /// adversarial record can at most nudge a row by `grad_clip`.
-    pub grad_clip: f32,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for OnlineParams {
     fn default() -> Self {
-        Self {
-            learning_rate: 0.01,
-            negatives: 2,
-            steps_per_record: 2,
-            replay: 4,
-            buffer: 4096,
-            grad_clip: 5.0,
-            seed: 0x051,
-        }
+        Self { seed: 0x051 }
     }
 }
+
+/// Learning rate for streaming steps (smaller than batch training — each
+/// record is seen once).
+const LEARNING_RATE: f32 = 0.01;
+/// Negative samples per step.
+const NEGATIVES: usize = 2;
+/// SGD passes over each incoming record's unit pairs.
+const STEPS_PER_RECORD: usize = 2;
+/// Replayed buffer records per incoming record (recency replay).
+const REPLAY: usize = 4;
+/// Recency buffer capacity.
+const BUFFER: usize = 4096;
+/// L2 ceiling on any single streaming SGD update. The stream is untrusted
+/// input, so the ceiling is on: one adversarial record can at most nudge
+/// a row by this much.
+const GRAD_CLIP: f32 = 5.0;
 
 /// Units of one streamed record under the model's node space.
 #[derive(Debug)]
@@ -110,7 +103,6 @@ struct Trainer {
 /// A model wrapper that keeps learning from streamed records.
 pub struct OnlineActor {
     model: TrainedModel,
-    params: OnlineParams,
     trainer: Trainer,
     buffer: VecDeque<StreamUnits>,
     observed: u64,
@@ -130,9 +122,9 @@ impl OnlineActor {
                 updater: NegativeSamplingUpdate::new(
                     dim,
                     SgdParams {
-                        learning_rate: params.learning_rate,
-                        negatives: params.negatives,
-                        grad_clip: params.grad_clip,
+                        learning_rate: LEARNING_RATE,
+                        negatives: NEGATIVES,
+                        grad_clip: GRAD_CLIP,
                     },
                 ),
                 rng: StdRng::seed_from_u64(params.seed),
@@ -142,13 +134,12 @@ impl OnlineActor {
                 },
                 bag: Vec::new(),
             },
-            buffer: VecDeque::with_capacity(params.buffer),
+            buffer: VecDeque::with_capacity(BUFFER),
             observed: 0,
             skipped_words: 0,
             skipped_records: 0,
             sink: None,
             model,
-            params,
         }
     }
 
@@ -270,10 +261,10 @@ impl OnlineActor {
         }
 
         let store = self.model.store();
-        for _ in 0..self.params.steps_per_record {
+        for _ in 0..STEPS_PER_RECORD {
             self.trainer.train(store, &units);
         }
-        for _ in 0..self.params.replay {
+        for _ in 0..REPLAY {
             if self.buffer.is_empty() {
                 break;
             }
@@ -281,7 +272,7 @@ impl OnlineActor {
             self.trainer.train(store, &self.buffer[i]);
         }
 
-        if self.buffer.len() == self.params.buffer {
+        if self.buffer.len() == BUFFER {
             self.buffer.pop_front();
         }
         self.buffer.push_back(units);
@@ -413,14 +404,7 @@ mod tests {
             let t = model.time_of_day_node(target_second);
             cosine(model.vector(model.word_node(beach)), model.vector(t))
         };
-        let mut online = OnlineActor::new(
-            model,
-            OnlineParams {
-                steps_per_record: 4,
-                replay: 0,
-                ..OnlineParams::default()
-            },
-        );
+        let mut online = OnlineActor::new(model, OnlineParams::default());
         for i in 0..800 {
             let rec = Record {
                 id: mobility::RecordId(i),
@@ -550,38 +534,32 @@ mod tests {
     #[test]
     fn cadence_deltas_list_exactly_the_changed_rows() {
         let (corpus, split, model) = fitted();
-        for negatives in [OnlineParams::default().negatives, 0] {
-            let params = OnlineParams {
-                negatives,
-                ..OnlineParams::default()
-            };
-            let mut online = OnlineActor::new(model.clone(), params);
-            let sink = std::sync::Arc::new(BitDiff::default());
-            online.attach_sink(sink.clone(), 5);
-            let mut accepted = 0u64;
-            for &rid in split.valid.iter() {
-                accepted += u64::from(online.observe(corpus.record(rid)));
-            }
-            assert!(accepted >= 10, "need a few cadence windows");
-            let deltas = sink.deltas.load(std::sync::atomic::Ordering::SeqCst);
-            assert_eq!(deltas, accepted / 5, "negatives = {negatives}");
+        let mut online = OnlineActor::new(model, OnlineParams::default());
+        let sink = std::sync::Arc::new(BitDiff::default());
+        online.attach_sink(sink.clone(), 5);
+        let mut accepted = 0u64;
+        for &rid in split.valid.iter() {
+            accepted += u64::from(online.observe(corpus.record(rid)));
         }
+        assert!(accepted >= 10, "need a few cadence windows");
+        let deltas = sink.deltas.load(std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(deltas, accepted / 5);
     }
 
     #[test]
     fn buffer_is_bounded() {
         let (corpus, split, model) = fitted();
-        let mut online = OnlineActor::new(
-            model,
-            OnlineParams {
-                buffer: 16,
-                ..OnlineParams::default()
-            },
-        );
-        for &rid in split.valid.iter().chain(split.test.iter()) {
+        let mut online = OnlineActor::new(model, OnlineParams::default());
+        // Stream the held-out records round and round until more than the
+        // buffer's capacity has been accepted.
+        let stream = split.valid.iter().chain(split.test.iter()).cycle();
+        for &rid in stream {
             online.observe(corpus.record(rid));
+            if online.observed() > BUFFER as u64 + 10 {
+                break;
+            }
         }
-        assert!(online.buffer.len() <= 16);
+        assert_eq!(online.buffer.len(), BUFFER);
     }
 
     #[test]

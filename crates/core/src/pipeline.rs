@@ -2,15 +2,14 @@
 
 use std::sync::Arc;
 
-use embed::{EmbeddingStore, LineOrder, LineParams, LineTrainer, NegativeSamplingUpdate};
+use embed::{annealed, EmbeddingStore, LineOrder, LineParams, LineTrainer, NegativeSamplingUpdate};
 use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::{Corpus, GeoPoint, RecordId};
 use rand::seq::IndexedRandom;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use stgraph::build::RecordUnits;
 use stgraph::{
-    ActivityGraph, ActivityGraphBuilder, BuildOptions, EdgeSampler, EdgeType, EdgeTypeMap,
-    NegativeTable, NodeType, NodeTypeMap, UserGraph,
+    ActivityGraph, ActivityGraphBuilder, BuildOptions, EdgeTables, EdgeType, NodeType, UserGraph,
 };
 
 use crate::config::ActorConfig;
@@ -140,29 +139,15 @@ impl FitRun {
 /// Splitting preparation from training lets the resilience driver
 /// ([`crate::fit_checkpointed`]) run the SGD loop as a sequence of
 /// checkpointed segments over one shared `Prepared` — and swap the store
-/// for a restored snapshot between segments. The sampler / negative
-/// tables live in dense [`EdgeTypeMap`]s: the SGD hot loop resolves them
-/// per training step, and an array index beats hashing a
-/// `(EdgeType, NodeType)` key there.
+/// for a restored snapshot between segments.
 pub(crate) struct Prepared {
     pub artifacts: Arc<ModelArtifacts>,
     pub store: EmbeddingStore,
     pub graph: ActivityGraph,
     pub units: Vec<RecordUnits>,
-    pub edge_samplers: EdgeTypeMap<EdgeSampler>,
-    pub neg_tables: EdgeTypeMap<NodeTypeMap<NegativeTable>>,
+    pub tables: EdgeTables,
     pub n_user_edges: usize,
     pub pretrained: bool,
-}
-
-/// Dense lookup of the negative table for `(ty, side)`.
-#[inline]
-fn neg_of(
-    neg_tables: &EdgeTypeMap<NodeTypeMap<NegativeTable>>,
-    ty: EdgeType,
-    side: NodeType,
-) -> Option<&NegativeTable> {
-    neg_tables.get(ty)?.get(side)
 }
 
 /// Algorithm-1 line 1: the spatial and temporal hotspots of the records in
@@ -287,35 +272,9 @@ pub(crate) fn prepare(corpus: &Corpus, train_ids: &[RecordId], config: &ActorCon
     }
     pretrain_span.finish();
 
-    // Samplers for lines 5–11, in dense per-type tables. The per-type
-    // alias and negative tables are independent of one another, so the
-    // seven types build in parallel; results come back in `ALL` order and
-    // are inserted serially, matching the single-threaded layout exactly.
+    // The samplers and negative tables lines 5–11 draw from.
     let sampler_span = obs::span!("core.fit.samplers");
-    let built = par::par_map(&EdgeType::ALL, |_, &ty| {
-        let sampler = EdgeSampler::new(&graph, ty);
-        let (a, b) = ty.endpoints();
-        let negs: Vec<(NodeType, NegativeTable)> = [a, b]
-            .into_iter()
-            .filter_map(|side| {
-                NegativeTable::with_power(&graph, ty, side, config.negative_power)
-                    .map(|t| (side, t))
-            })
-            .collect();
-        (sampler, negs)
-    });
-    let mut edge_samplers: EdgeTypeMap<EdgeSampler> = EdgeTypeMap::new();
-    let mut neg_tables: EdgeTypeMap<NodeTypeMap<NegativeTable>> = EdgeTypeMap::new();
-    for (ty, (sampler, negs)) in EdgeType::ALL.into_iter().zip(built) {
-        if let Some(s) = sampler {
-            edge_samplers.insert(ty, s);
-        }
-        for (side, t) in negs {
-            neg_tables
-                .get_or_insert_with(ty, NodeTypeMap::new)
-                .insert(side, t);
-        }
-    }
+    let tables = EdgeTables::build(&graph, &EdgeType::ALL, config.negative_power);
     sampler_span.finish();
 
     let artifacts = Arc::new(ModelArtifacts::new(
@@ -331,8 +290,7 @@ pub(crate) fn prepare(corpus: &Corpus, train_ids: &[RecordId], config: &ActorCon
         store,
         graph,
         units,
-        edge_samplers,
-        neg_tables,
+        tables,
         n_user_edges: user_graph.n_edges(),
         pretrained,
     }
@@ -353,11 +311,10 @@ pub(crate) struct SegmentStats {
 /// Lines 5–11: alternate inter-record and intra-record mini-batches over
 /// epochs `[epoch_start, epoch_end)` of a `config.max_epochs` schedule.
 ///
-/// Per-type batch sizes follow each type's share of the total edge weight:
-/// Eq. 6 sums the *weighted* objectives `J_e = -Σ a_ij log p`, so a type
-/// holding 40 % of the co-occurrence mass receives 40 % of the samples
-/// (Algorithm 1's fixed `m` per type is read as the inner-loop batch
-/// mechanism, not as an equal-weight prior over edge types).
+/// Per-type batch sizes follow each type's share of the total edge weight
+/// ([`EdgeTables::batches`]; Algorithm 1's fixed `m` per type is read as
+/// the inner-loop batch mechanism, not as an equal-weight prior over edge
+/// types).
 ///
 /// Work is split as `epochs × batches_per_type` rounds distributed over
 /// Hogwild threads by `par::run_seeded`, so the total sample budget is
@@ -380,10 +337,8 @@ pub(crate) fn train_epoch_range(
     debug_assert!(epoch_start <= epoch_end && epoch_end <= total_epochs);
     let span_epochs = epoch_end - epoch_start;
     let store = &prep.store;
-    let graph = &prep.graph;
     let units = prep.units.as_slice();
-    let edge_samplers = &prep.edge_samplers;
-    let neg_tables = &prep.neg_tables;
+    let tables = &prep.tables;
 
     // Live-throughput counter, flushed once per round (~7m updates) so the
     // SGD hot path never touches shared state.
@@ -392,41 +347,29 @@ pub(crate) fn train_epoch_range(
     let m = config.batch_size;
 
     // Weight shares over the trained edge types (Eq. 6's implicit mix).
-    let type_weight = |ty: EdgeType| -> f64 { graph.edges(ty).map_or(0.0, |te| te.total_weight()) };
-    let inter_w: f64 = if config.use_inter {
-        EdgeType::INTER.iter().map(|&t| type_weight(t)).sum()
+    let weight = |types: &[EdgeType]| -> f64 { types.iter().map(|&t| tables.weight(t)).sum() };
+    let inter_w = if config.use_inter {
+        weight(&EdgeType::INTER)
     } else {
         0.0
     };
-    let intra_w: f64 = EdgeType::INTRA.iter().map(|&t| type_weight(t)).sum();
+    let intra_w = weight(&EdgeType::INTRA);
     let total_w = (inter_w + intra_w).max(1e-12);
     // Round budget: 7m weighted samples, as if all seven types ran an
     // m-sized batch. Each bag draw performs ~7 pair updates, so the
     // record-sample count is scaled down accordingly.
     let round_budget = 7.0 * m as f64;
-    let inter_batches: Vec<(EdgeType, usize)> = EdgeType::INTER
-        .iter()
-        .map(|&t| {
-            let share = if config.use_inter {
-                type_weight(t) / total_w
-            } else {
-                0.0
-            };
-            (t, (round_budget * share).round() as usize)
-        })
-        .collect();
-    let intra_share = intra_w / total_w;
     const BAG_UPDATES_PER_DRAW: f64 = 7.0;
-    let bag_draws = (round_budget * intra_share / BAG_UPDATES_PER_DRAW).round() as usize;
-    let intra_batches: Vec<(EdgeType, usize)> = EdgeType::INTRA
-        .iter()
-        .map(|&t| {
-            (
-                t,
-                (round_budget * type_weight(t) / total_w).round() as usize,
-            )
-        })
-        .collect();
+    let bag_draws = (round_budget * (intra_w / total_w) / BAG_UPDATES_PER_DRAW).round() as usize;
+    // Typed-edge batches: the inter-record meta-graph types (lines 6–8),
+    // then, without the record bag, the intra-record ones (lines 9–11).
+    let mut edge_batches = Vec::new();
+    if config.use_inter {
+        edge_batches = tables.batches(&EdgeType::INTER, round_budget, total_w);
+    }
+    if !config.use_intra_bag {
+        edge_batches.extend(tables.batches(&EdgeType::INTRA, round_budget, total_w));
+    }
 
     // Per-segment Hogwild seed. A segment starting at epoch 0 reproduces
     // the historical whole-run stream (`seed ^ 0xAC7`, the golden-ratio
@@ -458,7 +401,7 @@ pub(crate) fn train_epoch_range(
                     ((epoch_start as f64 + span_epochs as f64 * (round as f64 / n as f64))
                         / total_epochs as f64) as f32
                 };
-                upd.set_learning_rate(lr_scale * (lr0 * (1.0 - 0.9 * progress)));
+                upd.set_learning_rate(lr_scale * annealed(lr0, progress));
             }
             // Trace bucket from the same global fraction, in integer
             // arithmetic (the shared factors cancel exactly, so the
@@ -468,33 +411,23 @@ pub(crate) fn train_epoch_range(
             let bucket = ((num * TRACE_BUCKETS as u64 / den) as usize).min(TRACE_BUCKETS - 1);
             let mut round_loss = 0.0f64;
             let mut round_updates = 0u64;
-            // Inter-record meta-graph batches (line 6–8).
-            if config.use_inter {
-                for &(ty, count) in &inter_batches {
-                    if let Some(sampler) = edge_samplers.get(ty) {
-                        for _ in 0..count {
-                            round_loss += train_edge(store, sampler, ty, neg_tables, &mut upd, rng);
-                            round_updates += 1;
-                        }
+            for &(ty, count) in &edge_batches {
+                for _ in 0..count {
+                    if let Some((center, context, noise)) = tables.draw(ty, rng) {
+                        round_loss += upd.step(store, center.idx(), context.idx(), rng, |r| {
+                            noise.sample(r).idx()
+                        });
                     }
+                    round_updates += 1;
                 }
             }
-            // Intra-record meta-graph batches (line 9–11).
+            // Intra-record meta-graph batches through the record bag
+            // (lines 9–11).
             if config.use_intra_bag {
                 for _ in 0..bag_draws {
-                    let (l, u) =
-                        train_record_bag(store, units, neg_tables, &mut upd, rng, &mut bag);
+                    let (l, u) = train_record_bag(store, units, tables, &mut upd, rng, &mut bag);
                     round_loss += l;
                     round_updates += u;
-                }
-            } else {
-                for &(ty, count) in &intra_batches {
-                    if let Some(sampler) = edge_samplers.get(ty) {
-                        for _ in 0..count {
-                            round_loss += train_edge(store, sampler, ty, neg_tables, &mut upd, rng);
-                            round_updates += 1;
-                        }
-                    }
                 }
             }
             local[bucket].0 += round_loss;
@@ -524,25 +457,6 @@ pub(crate) fn train_epoch_range(
     }
 }
 
-/// One plain edge update on an oriented draw; returns the loss.
-fn train_edge(
-    store: &EmbeddingStore,
-    sampler: &EdgeSampler,
-    ty: EdgeType,
-    neg_tables: &EdgeTypeMap<NodeTypeMap<NegativeTable>>,
-    upd: &mut NegativeSamplingUpdate,
-    rng: &mut StdRng,
-) -> f64 {
-    let (center, context, ctx_side) = sampler.sample_oriented(rng);
-    if let Some(neg) = neg_of(neg_tables, ty, ctx_side) {
-        upd.step(store, center.idx(), context.idx(), rng, |r| {
-            neg.sample(r).idx()
-        })
-    } else {
-        0.0
-    }
-}
-
 /// One intra-record update with the bag-of-words textual representation
 /// (footnote 4): sample a record, then train its T–L pair, its bag→L and
 /// bag→T alignments (plus reverse word-context updates), and W–W pairs.
@@ -551,7 +465,7 @@ fn train_edge(
 fn train_record_bag(
     store: &EmbeddingStore,
     units: &[RecordUnits],
-    neg_tables: &EdgeTypeMap<NodeTypeMap<NegativeTable>>,
+    tables: &EdgeTables,
     upd: &mut NegativeSamplingUpdate,
     rng: &mut StdRng,
     bag: &mut Vec<usize>,
@@ -566,13 +480,13 @@ fn train_record_bag(
     let mut updates = 0u64;
 
     // TL (both directions, random order).
-    if let Some(neg) = neg_of(neg_tables, EdgeType::TL, NodeType::Location) {
+    if let Some(neg) = tables.negatives(EdgeType::TL, NodeType::Location) {
         loss += upd.step(store, rec.time.idx(), rec.location.idx(), rng, |r| {
             neg.sample(r).idx()
         });
         updates += 1;
     }
-    if let Some(neg) = neg_of(neg_tables, EdgeType::TL, NodeType::Time) {
+    if let Some(neg) = tables.negatives(EdgeType::TL, NodeType::Time) {
         loss += upd.step(store, rec.location.idx(), rec.time.idx(), rng, |r| {
             neg.sample(r).idx()
         });
@@ -581,21 +495,21 @@ fn train_record_bag(
 
     if !bag.is_empty() {
         // LW: bag → location, location → one word.
-        if let Some(neg) = neg_of(neg_tables, EdgeType::LW, NodeType::Location) {
+        if let Some(neg) = tables.negatives(EdgeType::LW, NodeType::Location) {
             loss += upd.step_bag(store, bag, rec.location.idx(), rng, |r| neg.sample(r).idx());
             updates += 1;
         }
-        if let Some(neg) = neg_of(neg_tables, EdgeType::LW, NodeType::Word) {
+        if let Some(neg) = tables.negatives(EdgeType::LW, NodeType::Word) {
             let w = *bag.choose(rng).expect("non-empty bag");
             loss += upd.step(store, rec.location.idx(), w, rng, |r| neg.sample(r).idx());
             updates += 1;
         }
         // WT: bag → time, time → one word.
-        if let Some(neg) = neg_of(neg_tables, EdgeType::WT, NodeType::Time) {
+        if let Some(neg) = tables.negatives(EdgeType::WT, NodeType::Time) {
             loss += upd.step_bag(store, bag, rec.time.idx(), rng, |r| neg.sample(r).idx());
             updates += 1;
         }
-        if let Some(neg) = neg_of(neg_tables, EdgeType::WT, NodeType::Word) {
+        if let Some(neg) = tables.negatives(EdgeType::WT, NodeType::Word) {
             let w = *bag.choose(rng).expect("non-empty bag");
             loss += upd.step(store, rec.time.idx(), w, rng, |r| neg.sample(r).idx());
             updates += 1;
@@ -604,7 +518,7 @@ fn train_record_bag(
         // mass grows quadratically in its length, so a single pair would
         // under-train the heaviest intra edge class.
         if bag.len() >= 2 {
-            if let Some(neg) = neg_of(neg_tables, EdgeType::WW, NodeType::Word) {
+            if let Some(neg) = tables.negatives(EdgeType::WW, NodeType::Word) {
                 let n_pairs = (bag.len() * (bag.len() - 1) / 2).min(3);
                 for _ in 0..n_pairs {
                     let i = rng.random_range(0..bag.len());

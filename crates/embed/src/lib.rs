@@ -35,5 +35,5 @@ pub mod sigmoid;
 pub mod store;
 
 pub use line::{LineOrder, LineParams, LineTrainer};
-pub use sgd::{NegativeSamplingUpdate, SgdParams};
+pub use sgd::{annealed, NegativeSamplingUpdate, SgdParams};
 pub use store::{EmbeddingStore, Matrix, NormalizedRows};

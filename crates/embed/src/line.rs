@@ -7,7 +7,7 @@
 
 use rand::Rng;
 
-use crate::sgd::{NegativeSamplingUpdate, SgdParams};
+use crate::sgd::{annealed, NegativeSamplingUpdate, SgdParams};
 use crate::store::EmbeddingStore;
 use stgraph::{AliasTable, NegativeTable};
 
@@ -106,12 +106,11 @@ impl LineTrainer {
             let lr0 = params.sgd.learning_rate;
             let mut flushed = 0u64;
             for i in 0..n {
-                // Linear annealing to 10% of the initial rate (LINE's
-                // schedule), tracked per thread. The same cadence batches
+                // Annealing, tracked per thread. The same cadence batches
                 // the live-progress counter flush.
                 if i % 1024 == 0 {
                     let progress = i as f32 / n as f32;
-                    upd.set_learning_rate(lr0 * (1.0 - 0.9 * progress));
+                    upd.set_learning_rate(annealed(lr0, progress));
                     if i > 0 {
                         samples_done.add(1024);
                         flushed += 1024;

@@ -35,6 +35,14 @@ impl Default for SgdParams {
     }
 }
 
+/// The learning rate at `progress` ∈ [0, 1] through a trainer's sample
+/// budget: `lr0` annealed linearly to 10% of itself (LINE's schedule),
+/// which every SGD trainer in the workspace follows.
+#[inline]
+pub fn annealed(lr0: f32, progress: f32) -> f32 {
+    lr0 * (1.0 - 0.9 * progress)
+}
+
 /// Scales the logit-gradient `g` down so the update `g · x` applied to a
 /// row keeps an L2 norm at most `clip` (`x_norm` = ‖x‖).
 #[inline]
@@ -103,8 +111,8 @@ impl NegativeSamplingUpdate {
         self.params
     }
 
-    /// Overrides the learning rate (used by trainers that anneal η
-    /// linearly over the sample budget, as LINE does).
+    /// Overrides the learning rate (used by trainers that anneal η over
+    /// the sample budget with [`annealed`]).
     pub fn set_learning_rate(&mut self, lr: f32) {
         debug_assert!(lr > 0.0);
         self.params.learning_rate = lr;

@@ -198,7 +198,7 @@ impl Snapshot {
 
         let space = *prev.artifacts.space();
         let mut scratch = SearchScratch::new();
-        let indexes = NodeType::ALL.map(|ty| match &prev.indexes[modality_slot(ty)] {
+        let indexes = NodeType::ALL.map(|ty| match &prev.indexes[ty.index()] {
             ModalIndex::Exact => ModalIndex::Exact,
             ModalIndex::Ann(index) => {
                 let view = ModalView::new(&norms, &space, ty);
@@ -222,7 +222,7 @@ impl Snapshot {
             }
         });
         obs::counter("serve.snapshot.applied").incr();
-        obs::histogram("serve.snapshot.apply_ms").record(started.elapsed().as_millis() as u64);
+        obs::histogram("serve.snapshot.apply_us").record(started.elapsed().as_micros() as u64);
         Self {
             artifacts: Arc::clone(&prev.artifacts),
             epoch,
@@ -277,7 +277,7 @@ impl Snapshot {
 
     /// Whether `ty` is served by the ANN index (false = exact scan).
     pub fn is_ann(&self, ty: NodeType) -> bool {
-        matches!(self.indexes[modality_slot(ty)], ModalIndex::Ann(_))
+        matches!(self.indexes[ty.index()], ModalIndex::Ann(_))
     }
 
     fn view(&self, ty: NodeType) -> ModalView<'_> {
@@ -299,7 +299,7 @@ impl Snapshot {
         if view.is_empty() {
             return Vec::new();
         }
-        let local = match &self.indexes[modality_slot(ty)] {
+        let local = match &self.indexes[ty.index()] {
             ModalIndex::Exact => exact_top_k(&view, unit_query, k, scratch),
             ModalIndex::Ann(index) => index.search(&view, unit_query, k, ef, scratch),
         };
@@ -330,11 +330,6 @@ impl Snapshot {
             .map(|(i, sim)| (NodeId(off + i), sim))
             .collect()
     }
-}
-
-/// Array slot of a node type (mirrors `NodeType::ALL` order).
-fn modality_slot(ty: NodeType) -> usize {
-    ty.index()
 }
 
 #[cfg(test)]
@@ -402,7 +397,7 @@ mod tests {
         let (one, two) = (build(1), build(2));
         for ty in NodeType::ALL {
             assert!(one.is_ann(ty), "{ty:?}");
-            let slot = modality_slot(ty);
+            let slot = ty.index();
             assert!(
                 one.indexes[slot] == two.indexes[slot],
                 "{ty:?} graph differs"
@@ -455,6 +450,26 @@ mod tests {
             assert_eq!(snap.vector(NodeId(i as u32)), next.vector(NodeId(i as u32)));
             assert_eq!(snap.normalized().row(i), next.normalized().row(i));
         }
+    }
+
+    #[test]
+    fn apply_delta_records_its_time_in_microseconds() {
+        // A one-row apply on a forced-ANN model takes well under a
+        // millisecond, so a histogram in whole milliseconds would read 0.
+        let mut m = crate::testkit::synthetic_model(200, 16, 7);
+        let forced = IndexParams { ann_threshold: 0 };
+        let snap = Snapshot::build(&m, &forced, 1);
+        let node = m.space().node(NodeType::Word, 3);
+        m.store_mut().centers.row_mut(node.idx()).fill(0.5);
+        let delta = StoreDelta {
+            centers: vec![node.0],
+        };
+        let hist = obs::histogram("serve.snapshot.apply_us");
+        let before = hist.snapshot();
+        Snapshot::apply_delta(&snap, &m, &delta, &forced, 2);
+        let after = hist.snapshot();
+        assert!(after.count > before.count);
+        assert!(after.sum > before.sum, "the apply recorded 0 µs");
     }
 
     #[test]

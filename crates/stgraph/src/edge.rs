@@ -41,7 +41,7 @@ impl EdgeType {
     pub const INTER: [EdgeType; 3] = [EdgeType::UT, EdgeType::UW, EdgeType::UL];
 
     /// Dense index in [`EdgeType::ALL`] order, for array-backed per-type
-    /// tables such as [`crate::EdgeTypeMap`].
+    /// tables such as [`crate::EdgeTables`].
     #[inline]
     pub const fn index(self) -> usize {
         self as usize
@@ -118,6 +118,16 @@ mod tests {
         assert_eq!(EdgeType::between(Time, Time), None);
         assert_eq!(EdgeType::between(User, User), None);
         assert_eq!(EdgeType::between(Word, Word), Some(EdgeType::WW));
+    }
+
+    #[test]
+    fn indexes_are_dense_and_match_all_order() {
+        for (i, ty) in EdgeType::ALL.into_iter().enumerate() {
+            assert_eq!(ty.index(), i);
+        }
+        for (i, ty) in NodeType::ALL.into_iter().enumerate() {
+            assert_eq!(ty.index(), i);
+        }
     }
 
     #[test]

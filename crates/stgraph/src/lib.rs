@@ -12,7 +12,9 @@
 //! On top of them this crate provides O(1) weighted edge sampling via
 //! alias tables ([`alias`]), degree^¾ negative tables ([`sampler`]), CSR
 //! adjacency per edge type ([`adjacency`]), and the meta-graph schemes
-//! `M0..M6` of Fig. 3b ([`metagraph`]).
+//! `M0..M6` of Fig. 3b ([`metagraph`]). [`EdgeTables`] is the one
+//! typed-edge draw (an oriented edge of a type plus the noise table of its
+//! context side) that ACTOR and the CrossMap baseline both train from.
 
 pub mod adjacency;
 pub mod alias;
@@ -22,7 +24,6 @@ pub mod graph;
 pub mod metagraph;
 pub mod node;
 pub mod sampler;
-pub mod typemap;
 pub mod usergraph;
 
 pub use alias::AliasTable;
@@ -31,6 +32,5 @@ pub use edge::EdgeType;
 pub use graph::ActivityGraph;
 pub use metagraph::{MetaGraph, UnitSet};
 pub use node::{NodeId, NodeSpace, NodeType};
-pub use sampler::{EdgeSampler, NegativeTable};
-pub use typemap::{EdgeTypeMap, NodeTypeMap};
+pub use sampler::{EdgeSampler, EdgeTables, NegativeTable, NEGATIVE_POWER};
 pub use usergraph::UserGraph;

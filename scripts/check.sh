@@ -44,4 +44,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustdoc (deny warnings: no dangling or ambiguous doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "== non-test Rust lines (reported, gates nothing) =="
+scripts/loc.sh
+
 echo "all checks passed"
