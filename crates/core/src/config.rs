@@ -27,7 +27,10 @@ pub struct ActorConfig {
     /// sample count must be far larger, so this multiplier sets how many
     /// `m`-sized batches each type receives each epoch.
     pub batches_per_type: usize,
-    /// Hogwild worker threads.
+    /// Hogwild shards of the SGD loop. Each shard applies its rounds on
+    /// one thread while a helper thread draws the next ones
+    /// (`par::pipeline`), so training runs on `2 × threads` threads. At
+    /// 1 the fit is exactly reproducible per seed.
     pub threads: usize,
     /// Mean-shift bandwidth for spatial hotspots, degrees.
     pub spatial_bandwidth: f64,

@@ -1,8 +1,11 @@
 //! The end-to-end ACTOR fitting pipeline (Algorithm 1).
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use embed::{annealed, EmbeddingStore, LineOrder, LineParams, LineTrainer, NegativeSamplingUpdate};
+use embed::{
+    annealed, EmbeddingStore, LineOrder, LineParams, LineTrainer, NegativeSamplingUpdate, StepPlan,
+};
 use hotspot::{MeanShiftParams, SpatialHotspots, TemporalHotspots};
 use mobility::{Corpus, GeoPoint, RecordId};
 use rand::seq::IndexedRandom;
@@ -317,9 +320,14 @@ pub(crate) struct SegmentStats {
 /// types).
 ///
 /// Work is split as `epochs × batches_per_type` rounds distributed over
-/// Hogwild threads by `par::run_seeded`, so the total sample budget is
+/// Hogwild shards by `par::run_seeded`, so the total sample budget is
 /// independent of the thread count (required by the weak-scaling
-/// experiment, Fig. 12c).
+/// experiment, Fig. 12c). Each shard is a [`par::pipeline`]: a helper
+/// thread draws round `r + 1` ([`RoundDraw`]) while the shard applies
+/// round `r` ([`embed::StepPlan::apply`]), so `config.threads` shards run
+/// on twice as many threads. A draw reads only the shard's RNG and the
+/// frozen tables, and rounds are applied in draw order, so the update
+/// stream is the one a serial draw-then-step loop produces, bit for bit.
 /// Annealing progress and trace buckets are computed against the *whole*
 /// schedule, so a run cut into checkpointed segments anneals exactly like
 /// an uninterrupted one. `lr_scale` multiplies the learning rate
@@ -337,12 +345,14 @@ pub(crate) fn train_epoch_range(
     debug_assert!(epoch_start <= epoch_end && epoch_end <= total_epochs);
     let span_epochs = epoch_end - epoch_start;
     let store = &prep.store;
-    let units = prep.units.as_slice();
     let tables = &prep.tables;
 
     // Live-throughput counter, flushed once per round (~7m updates) so the
     // SGD hot path never touches shared state.
     let updates_done = obs::counter("core.train.updates");
+    // How long the apply side waits for each drawn round: near zero while
+    // the draw thread keeps ahead.
+    let draw_wait = obs::histogram("core.train.draw_wait_us");
     let rounds = (span_epochs * config.batches_per_type) as u64;
     let m = config.batch_size;
 
@@ -360,7 +370,6 @@ pub(crate) fn train_epoch_range(
     // record-sample count is scaled down accordingly.
     let round_budget = 7.0 * m as f64;
     const BAG_UPDATES_PER_DRAW: f64 = 7.0;
-    let bag_draws = (round_budget * (intra_w / total_w) / BAG_UPDATES_PER_DRAW).round() as usize;
     // Typed-edge batches: the inter-record meta-graph types (lines 6–8),
     // then, without the record bag, the intra-record ones (lines 9–11).
     let mut edge_batches = Vec::new();
@@ -370,6 +379,17 @@ pub(crate) fn train_epoch_range(
     if !config.use_intra_bag {
         edge_batches.extend(tables.batches(&EdgeType::INTRA, round_budget, total_w));
     }
+    let draw = RoundDraw {
+        tables,
+        units: &prep.units,
+        edge_batches,
+        bag_draws: if config.use_intra_bag {
+            (round_budget * (intra_w / total_w) / BAG_UPDATES_PER_DRAW).round() as usize
+        } else {
+            0
+        },
+        negatives: config.negatives,
+    };
 
     // Per-segment Hogwild seed. A segment starting at epoch 0 reproduces
     // the historical whole-run stream (`seed ^ 0xAC7`, the golden-ratio
@@ -387,53 +407,38 @@ pub(crate) fn train_epoch_range(
             upd.set_learning_rate(lr_scale * lr0);
         }
         let mut local = vec![(0.0f64, 0u64); TRACE_BUCKETS];
-        let mut bag = Vec::new();
-        for round in 0..n {
-            // Linear annealing to 10% of η over the *whole-run* budget:
-            // this thread's local round sits at global fraction
-            // (e₀·n + span·round) / (E·n). The whole-run case uses the
-            // reduced form round/n, which is the historical f32 sequence
-            // bit for bit.
-            if config.anneal {
-                let progress = if whole_run {
-                    round as f32 / n as f32
-                } else {
-                    ((epoch_start as f64 + span_epochs as f64 * (round as f64 / n as f64))
-                        / total_epochs as f64) as f32
-                };
-                upd.set_learning_rate(lr_scale * annealed(lr0, progress));
-            }
-            // Trace bucket from the same global fraction, in integer
-            // arithmetic (the shared factors cancel exactly, so the
-            // whole-run case matches the historical `round·B / n`).
-            let num = epoch_start as u64 * n + span_epochs as u64 * round;
-            let den = (total_epochs as u64 * n).max(1);
-            let bucket = ((num * TRACE_BUCKETS as u64 / den) as usize).min(TRACE_BUCKETS - 1);
-            let mut round_loss = 0.0f64;
-            let mut round_updates = 0u64;
-            for &(ty, count) in &edge_batches {
-                for _ in 0..count {
-                    if let Some((center, context, noise)) = tables.draw(ty, rng) {
-                        round_loss += upd.step(store, center.idx(), context.idx(), rng, |r| {
-                            noise.sample(r).idx()
-                        });
-                    }
-                    round_updates += 1;
+        let mut waiting_since = Instant::now();
+        par::pipeline(
+            n,
+            |_, round: &mut DrawnRound| draw.fill(round, rng),
+            |r, round| {
+                draw_wait.record(waiting_since.elapsed().as_micros() as u64);
+                // Linear annealing to 10% of η over the *whole-run*
+                // budget: this thread's local round sits at global
+                // fraction (e₀·n + span·r) / (E·n). The whole-run case
+                // uses the reduced form r/n, which is the historical f32
+                // sequence bit for bit.
+                if config.anneal {
+                    let progress = if whole_run {
+                        r as f32 / n as f32
+                    } else {
+                        ((epoch_start as f64 + span_epochs as f64 * (r as f64 / n as f64))
+                            / total_epochs as f64) as f32
+                    };
+                    upd.set_learning_rate(lr_scale * annealed(lr0, progress));
                 }
-            }
-            // Intra-record meta-graph batches through the record bag
-            // (lines 9–11).
-            if config.use_intra_bag {
-                for _ in 0..bag_draws {
-                    let (l, u) = train_record_bag(store, units, tables, &mut upd, rng, &mut bag);
-                    round_loss += l;
-                    round_updates += u;
-                }
-            }
-            local[bucket].0 += round_loss;
-            local[bucket].1 += round_updates;
-            updates_done.add(round_updates);
-        }
+                // Trace bucket from the same global fraction, in integer
+                // arithmetic (the shared factors cancel exactly, so the
+                // whole-run case matches the historical `r·B / n`).
+                let num = epoch_start as u64 * n + span_epochs as u64 * r;
+                let den = (total_epochs as u64 * n).max(1);
+                let bucket = ((num * TRACE_BUCKETS as u64 / den) as usize).min(TRACE_BUCKETS - 1);
+                local[bucket].0 += round.steps.apply(store, &mut upd);
+                local[bucket].1 += round.updates;
+                updates_done.add(round.updates);
+                waiting_since = Instant::now();
+            },
+        );
         local
     });
     // Merge in shard order, so a given set of shard traces always sums
@@ -457,82 +462,116 @@ pub(crate) fn train_epoch_range(
     }
 }
 
-/// One intra-record update with the bag-of-words textual representation
-/// (footnote 4): sample a record, then train its T–L pair, its bag→L and
-/// bag→T alignments (plus reverse word-context updates), and W–W pairs.
-/// `bag` is the shard's scratch buffer for the record's word indices.
-/// Returns `(loss sum, update count)`.
-fn train_record_bag(
-    store: &EmbeddingStore,
-    units: &[RecordUnits],
-    tables: &EdgeTables,
-    upd: &mut NegativeSamplingUpdate,
-    rng: &mut StdRng,
-    bag: &mut Vec<usize>,
-) -> (f64, u64) {
-    let Some(rec) = units.choose(rng) else {
-        return (0.0, 0);
-    };
-    bag.clear();
-    bag.extend(rec.words.iter().map(|w| w.idx()));
-    let bag = bag.as_slice();
-    let mut loss = 0.0f64;
-    let mut updates = 0u64;
+/// One drawn SGD round, recycled from round to round by [`par::pipeline`].
+#[derive(Default)]
+struct DrawnRound {
+    /// The round's steps in draw order.
+    steps: StepPlan,
+    /// Pair updates the round counts toward the loss trace: one per
+    /// typed-edge draw, even one whose context side has no noise table,
+    /// and one per record-bag step.
+    updates: u64,
+}
 
-    // TL (both directions, random order).
-    if let Some(neg) = tables.negatives(EdgeType::TL, NodeType::Location) {
-        loss += upd.step(store, rec.time.idx(), rec.location.idx(), rng, |r| {
-            neg.sample(r).idx()
-        });
-        updates += 1;
-    }
-    if let Some(neg) = tables.negatives(EdgeType::TL, NodeType::Time) {
-        loss += upd.step(store, rec.location.idx(), rec.time.idx(), rng, |r| {
-            neg.sample(r).idx()
-        });
-        updates += 1;
+/// The draw stage of one SGD round: what a round draws, from tables that
+/// stay frozen while it trains.
+struct RoundDraw<'a> {
+    tables: &'a EdgeTables,
+    units: &'a [RecordUnits],
+    /// `(type, draws)` typed-edge batches, in draw order.
+    edge_batches: Vec<(EdgeType, usize)>,
+    /// Record-bag draws per round (`0` without the bag).
+    bag_draws: usize,
+    /// Negatives per step, `K`.
+    negatives: usize,
+}
+
+impl RoundDraw<'_> {
+    /// Draws one round into `round`: the typed-edge batches, one step and
+    /// one loss group per draw, then the record bags, one loss group per
+    /// record.
+    fn fill(&self, round: &mut DrawnRound, rng: &mut StdRng) {
+        let k = self.negatives;
+        let plan = &mut round.steps;
+        plan.clear();
+        round.updates = 0;
+        for &(ty, count) in &self.edge_batches {
+            for _ in 0..count {
+                if let Some((center, context, noise)) = self.tables.draw(ty, rng) {
+                    plan.push([center.idx()], context.idx(), k, rng, |r| {
+                        noise.sample(r).idx()
+                    });
+                    plan.close_group();
+                }
+                round.updates += 1;
+            }
+        }
+        // Intra-record meta-graph batches through the record bag
+        // (lines 9–11).
+        for _ in 0..self.bag_draws {
+            let before = plan.len();
+            self.draw_record_bag(plan, rng);
+            plan.close_group();
+            round.updates += (plan.len() - before) as u64;
+        }
     }
 
-    if !bag.is_empty() {
-        // LW: bag → location, location → one word.
-        if let Some(neg) = tables.negatives(EdgeType::LW, NodeType::Location) {
-            loss += upd.step_bag(store, bag, rec.location.idx(), rng, |r| neg.sample(r).idx());
-            updates += 1;
+    /// One intra-record draw with the bag-of-words textual representation
+    /// (footnote 4): sample a record, then its T–L pair, its bag→L and
+    /// bag→T alignments (plus reverse word-context updates), and W–W
+    /// pairs.
+    fn draw_record_bag(&self, plan: &mut StepPlan, rng: &mut StdRng) {
+        let Some(rec) = self.units.choose(rng) else {
+            return;
+        };
+        let (k, tables) = (self.negatives, self.tables);
+        let (time, location) = (rec.time.idx(), rec.location.idx());
+        let words = || rec.words.iter().map(|w| w.idx());
+
+        // TL (both directions, random order).
+        if let Some(neg) = tables.negatives(EdgeType::TL, NodeType::Location) {
+            plan.push([time], location, k, rng, |r| neg.sample(r).idx());
         }
-        if let Some(neg) = tables.negatives(EdgeType::LW, NodeType::Word) {
-            let w = *bag.choose(rng).expect("non-empty bag");
-            loss += upd.step(store, rec.location.idx(), w, rng, |r| neg.sample(r).idx());
-            updates += 1;
+        if let Some(neg) = tables.negatives(EdgeType::TL, NodeType::Time) {
+            plan.push([location], time, k, rng, |r| neg.sample(r).idx());
         }
-        // WT: bag → time, time → one word.
-        if let Some(neg) = tables.negatives(EdgeType::WT, NodeType::Time) {
-            loss += upd.step_bag(store, bag, rec.time.idx(), rng, |r| neg.sample(r).idx());
-            updates += 1;
-        }
-        if let Some(neg) = tables.negatives(EdgeType::WT, NodeType::Word) {
-            let w = *bag.choose(rng).expect("non-empty bag");
-            loss += upd.step(store, rec.time.idx(), w, rng, |r| neg.sample(r).idx());
-            updates += 1;
-        }
-        // WW: up to three random ordered pairs — the record's word-pair
-        // mass grows quadratically in its length, so a single pair would
-        // under-train the heaviest intra edge class.
-        if bag.len() >= 2 {
-            if let Some(neg) = tables.negatives(EdgeType::WW, NodeType::Word) {
-                let n_pairs = (bag.len() * (bag.len() - 1) / 2).min(3);
-                for _ in 0..n_pairs {
-                    let i = rng.random_range(0..bag.len());
-                    let mut j = rng.random_range(0..bag.len() - 1);
-                    if j >= i {
-                        j += 1;
+
+        if !rec.words.is_empty() {
+            // LW: bag → location, location → one word.
+            if let Some(neg) = tables.negatives(EdgeType::LW, NodeType::Location) {
+                plan.push(words(), location, k, rng, |r| neg.sample(r).idx());
+            }
+            if let Some(neg) = tables.negatives(EdgeType::LW, NodeType::Word) {
+                let w = rec.words.choose(rng).expect("non-empty bag").idx();
+                plan.push([location], w, k, rng, |r| neg.sample(r).idx());
+            }
+            // WT: bag → time, time → one word.
+            if let Some(neg) = tables.negatives(EdgeType::WT, NodeType::Time) {
+                plan.push(words(), time, k, rng, |r| neg.sample(r).idx());
+            }
+            if let Some(neg) = tables.negatives(EdgeType::WT, NodeType::Word) {
+                let w = rec.words.choose(rng).expect("non-empty bag").idx();
+                plan.push([time], w, k, rng, |r| neg.sample(r).idx());
+            }
+            // WW: up to three random ordered pairs — the record's word-pair
+            // mass grows quadratically in its length, so a single pair would
+            // under-train the heaviest intra edge class.
+            let len = rec.words.len();
+            if len >= 2 {
+                if let Some(neg) = tables.negatives(EdgeType::WW, NodeType::Word) {
+                    for _ in 0..(len * (len - 1) / 2).min(3) {
+                        let i = rng.random_range(0..len);
+                        let mut j = rng.random_range(0..len - 1);
+                        if j >= i {
+                            j += 1;
+                        }
+                        let (a, b) = (rec.words[i].idx(), rec.words[j].idx());
+                        plan.push([a], b, k, rng, |r| neg.sample(r).idx());
                     }
-                    loss += upd.step(store, bag[i], bag[j], rng, |r| neg.sample(r).idx());
-                    updates += 1;
                 }
             }
         }
     }
-    (loss, updates)
 }
 
 #[cfg(test)]
@@ -648,6 +687,15 @@ mod tests {
         assert!(counter("hotspot.meanshift.seeds") > 0);
         assert!(counter("core.train.updates") > 0);
         assert!(counter("embed.sgd.steps") >= counter("core.train.updates"));
+        // The apply side timed its wait for every drawn round.
+        let config = ActorConfig::fast();
+        let draw_wait = report
+            .telemetry
+            .histograms
+            .iter()
+            .find(|h| h.name == "core.train.draw_wait_us")
+            .expect("core.train.draw_wait_us emitted");
+        assert!(draw_wait.count >= (config.max_epochs * config.batches_per_type) as u64);
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //! * [`store`] — center/context matrices with lock-free shared mutation
 //!   behind an explicit Hogwild contract,
 //! * [`sgd`] — the negative-sampling update, one kernel
-//!   ([`NegativeSamplingUpdate::step_bag`]; a plain pair step is its
-//!   one-row case). It holds the only three racy row writes in the
+//!   ([`NegativeSamplingUpdate::step_drawn`], on pre-drawn negatives;
+//!   `step_bag` draws them first, and a plain pair step is its one-row
+//!   case). It holds the only three racy row writes in the
 //!   workspace: the positive context row, each negative context row, and
 //!   each center-bag row.
+//! * [`plan`] — [`StepPlan`], a batch of steps drawn ahead of their
+//!   application and applied through the same kernel, with row prefetch.
 //! * [`mod@line`] — LINE (first/second order) for arbitrary weighted graphs:
 //!   the user-layer pre-trainer of Algorithm 1 line 3 and the LINE
 //!   baseline of Table 2.
@@ -30,10 +33,12 @@
 
 pub mod line;
 pub mod math;
+pub mod plan;
 pub mod sgd;
 pub mod sigmoid;
 pub mod store;
 
 pub use line::{LineOrder, LineParams, LineTrainer};
+pub use plan::StepPlan;
 pub use sgd::{annealed, NegativeSamplingUpdate, SgdParams};
 pub use store::{EmbeddingStore, Matrix, NormalizedRows};

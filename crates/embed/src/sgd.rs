@@ -61,9 +61,13 @@ fn clip_logit_grad(g: f32, x_norm: f32, clip: f32) -> f32 {
 pub struct NegativeSamplingUpdate {
     sigmoid: SigmoidTable,
     grad: Vec<f32>,
-    /// Bag-sum scratch for [`NegativeSamplingUpdate::step_bag`]; a field
-    /// rather than a local so the hot loop allocates nothing per call.
+    /// Bag-sum scratch for [`NegativeSamplingUpdate::step_drawn`]; a
+    /// field rather than a local so the hot loop allocates nothing per
+    /// call.
     bag_sum: Vec<f32>,
+    /// The negatives [`NegativeSamplingUpdate::step_bag`] draws before
+    /// calling the kernel.
+    negatives: Vec<usize>,
     params: SgdParams,
     /// Steps taken since the last flush to the `embed.sgd.steps` counter;
     /// batched so the hot loop touches no shared state.
@@ -86,6 +90,7 @@ impl NegativeSamplingUpdate {
             sigmoid: SigmoidTable::new(),
             grad: vec![0.0; dim],
             bag_sum: vec![0.0; dim],
+            negatives: Vec::with_capacity(params.negatives),
             params,
             steps_pending: 0,
         }
@@ -120,8 +125,7 @@ impl NegativeSamplingUpdate {
 
     /// Applies one stochastic step for the observed pair
     /// (`center`, `context`), drawing negatives from `sample_negative`:
-    /// the one-row case of [`NegativeSamplingUpdate::step_bag`], whose
-    /// doc states the update.
+    /// the one-row case of [`NegativeSamplingUpdate::step_bag`].
     pub fn step<R, F>(
         &mut self,
         store: &EmbeddingStore,
@@ -144,20 +148,9 @@ impl NegativeSamplingUpdate {
     }
 
     /// Applies one stochastic step for the observed pair (`bag`,
-    /// `context`), drawing negatives from `sample_negative`. The center
-    /// side is the sum of the bag's center rows: a word bag represents a
-    /// record's text this way (footnote 4), and a one-row bag is the plain
-    /// pair update of [`NegativeSamplingUpdate::step`].
-    ///
-    /// Implements Eq. 7 with gradients Eqs. 8–10: the center sum
-    /// accumulates `Σ g·x'` over the positive and all negatives (Eq. 8 /
-    /// Eq. 12), and that gradient is added to every member of the bag,
-    /// while each context row moves by `g·x` (Eqs. 9–10 / 13–14). Returns
-    /// the (approximate) loss contribution for monitoring; an empty bag
-    /// is a no-op with loss `0.0`.
-    ///
-    /// Races with other threads are accepted per the Hogwild contract of
-    /// [`crate::store::Matrix`].
+    /// `context`): draws `K` negatives from `sample_negative` into the
+    /// updater's scratch buffer, then runs [`NegativeSamplingUpdate::step_drawn`].
+    /// An empty bag draws nothing and returns `0.0`.
     pub fn step_bag<R, F>(
         &mut self,
         store: &EmbeddingStore,
@@ -170,6 +163,43 @@ impl NegativeSamplingUpdate {
         R: Rng + ?Sized,
         F: FnMut(&mut R) -> usize,
     {
+        if bag.is_empty() {
+            return 0.0;
+        }
+        // Taken out of `self` for the call; `take` leaves an empty Vec,
+        // which does not allocate.
+        let mut negatives = std::mem::take(&mut self.negatives);
+        negatives.clear();
+        negatives.extend((0..self.params.negatives).map(|_| sample_negative(rng)));
+        let loss = self.step_drawn(store, bag, context, &negatives);
+        self.negatives = negatives;
+        loss
+    }
+
+    /// The negative-sampling kernel: one stochastic step for the observed
+    /// pair (`bag`, `context`) against the pre-drawn `negatives`. The
+    /// center side is the sum of the bag's center rows: a word bag
+    /// represents a record's text this way (footnote 4), and a one-row bag
+    /// is a plain pair update.
+    ///
+    /// Implements Eq. 7 with gradients Eqs. 8–10: the center sum
+    /// accumulates `Σ g·x'` over the positive and all negatives (Eq. 8 /
+    /// Eq. 12), and that gradient is added to every member of the bag,
+    /// while each context row moves by `g·x` (Eqs. 9–10 / 13–14). A
+    /// negative equal to `context` is skipped: drawing the observed
+    /// context teaches nothing. Returns the (approximate) loss
+    /// contribution for monitoring; an empty bag is a no-op with loss
+    /// `0.0`.
+    ///
+    /// Races with other threads are accepted per the Hogwild contract of
+    /// [`crate::store::Matrix`].
+    pub fn step_drawn(
+        &mut self,
+        store: &EmbeddingStore,
+        bag: &[usize],
+        context: usize,
+        negatives: &[usize],
+    ) -> f64 {
         if bag.is_empty() {
             return 0.0;
         }
@@ -207,11 +237,11 @@ impl NegativeSamplingUpdate {
             crate::math::pair_update(g, &self.bag_sum, x_ctx, &mut self.grad);
         }
         // Negative pairs: label 0.
-        for _ in 0..self.params.negatives {
-            let neg = sample_negative(rng);
+        for &neg in negatives {
             if neg == context {
-                continue; // drawing the observed context teaches nothing
+                continue;
             }
+            // SAFETY: Hogwild contract, as for the positive context.
             let x_neg = unsafe { store.contexts.row_mut_racy(neg) };
             let sig = self.sigmoid.lookup(crate::math::dot(&self.bag_sum, x_neg));
             let mut g = -sig.value * lr;
@@ -231,6 +261,7 @@ impl NegativeSamplingUpdate {
             }
         }
         for &b in bag {
+            // SAFETY: Hogwild contract, as for the positive context.
             let row = unsafe { store.centers.row_mut_racy(b) };
             crate::math::axpy(1.0, &self.grad, row);
         }
@@ -330,6 +361,42 @@ mod tests {
             upd.step(&s, 0, 1, &mut rng, |_| 1usize);
         }
         assert!(dot(s.centers.row(0), s.contexts.row(1)) > 0.5);
+    }
+
+    #[test]
+    fn step_bag_equals_the_kernel_on_the_same_predrawn_negatives() {
+        // Negatives range over 3..6 and the context is 3, so some draws
+        // equal the context: the kernel skips them, but they still consume
+        // the RNG.
+        let context = 3;
+        for k in [1, 3] {
+            for bag in [&[0usize][..], &[0, 1, 2]] {
+                let params = SgdParams {
+                    learning_rate: 0.1,
+                    negatives: k,
+                    grad_clip: 0.0,
+                };
+                let (a, b) = (store(8), store(8));
+                let mut upd_a = NegativeSamplingUpdate::new(8, params);
+                let mut upd_b = NegativeSamplingUpdate::new(8, params);
+                let mut rng_a = StdRng::seed_from_u64(13);
+                let mut rng_b = StdRng::seed_from_u64(13);
+                let mut skipped = 0;
+                for _ in 0..60 {
+                    let la = upd_a.step_bag(&a, bag, context, &mut rng_a, |r| r.random_range(3..6));
+                    let negatives: Vec<usize> = (0..k).map(|_| rng_b.random_range(3..6)).collect();
+                    skipped += negatives.iter().filter(|&&n| n == context).count();
+                    let lb = upd_b.step_drawn(&b, bag, context, &negatives);
+                    assert_eq!(la.to_bits(), lb.to_bits(), "K={k} bag={bag:?}");
+                }
+                assert!(skipped > 0, "K={k}: no negative hit the context");
+                assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>());
+                for i in 0..6 {
+                    assert_eq!(a.centers.row(i), b.centers.row(i), "K={k} bag={bag:?}");
+                    assert_eq!(a.contexts.row(i), b.contexts.row(i), "K={k} bag={bag:?}");
+                }
+            }
+        }
     }
 
     #[test]

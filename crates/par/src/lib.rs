@@ -13,6 +13,8 @@
 //!   baselines — through [`run_seeded`], which splits a sample budget
 //!   over an explicit thread count and hands each shard its own seeded
 //!   RNG (Hogwild-style: shards race benignly on shared embeddings).
+//!   Within a shard, [`pipeline`] lets the ACTOR trainer draw round
+//!   `r + 1` on a helper thread while the shard applies round `r`.
 //!
 //! Both share one contract:
 //!
@@ -38,9 +40,11 @@
 //! `'static` bounds. Shard 0 runs on the calling thread, and a panicking
 //! shard is re-raised on the caller with the shard named.
 
+use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Mutex, MutexGuard};
 
 use rand::{rngs::StdRng, SeedableRng};
@@ -170,18 +174,88 @@ where
                 match result {
                     Ok(v) => out.push(v),
                     Err(payload) => {
-                        let detail = payload
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| payload.downcast_ref::<&'static str>().copied())
-                            .unwrap_or("<non-string panic payload>");
-                        panic!("par shard {s} of {n} panicked: {detail}");
+                        panic!("par shard {s} of {n} panicked: {}", detail(&*payload))
                     }
                 }
             }
             out
         }),
     }
+}
+
+/// The message of a caught panic payload.
+fn detail(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&'static str>().copied())
+        .unwrap_or("<non-string panic payload>")
+}
+
+/// Buffers in flight between the two sides of a [`pipeline`]: one being
+/// produced, one being consumed and one ready in between.
+const PIPELINE_BUFFERS: usize = 3;
+
+/// Runs `rounds` rounds as a two-stage pipeline: `produce(r, buf)` fills
+/// round `r`'s buffer on a helper thread while the calling thread runs
+/// `consume(r, buf)` on earlier rounds. Rounds are consumed in production
+/// order, so the pair behaves exactly like the serial loop
+/// `for r in 0..rounds { produce(r, buf); consume(r, buf) }` whenever
+/// `produce` reads nothing that `consume` writes.
+///
+/// Three buffers from `T::default()` circulate through two bounded
+/// channels and are recycled, never re-created: a buffer arrives at
+/// `produce` holding an earlier round's contents, so `produce` clears what
+/// it reuses, and a producer that keeps its buffers' capacity allocates
+/// nothing after the first rounds. Zero rounds spawn nothing.
+///
+/// A panic on either side is re-raised here, naming the side
+/// (`par pipeline producer panicked: …`); the other side sees its channel
+/// close and stops, so neither waits forever. Panics if both sides panic,
+/// naming the producer.
+pub fn pipeline<T, P, C>(rounds: u64, mut produce: P, mut consume: C)
+where
+    T: Default + Send,
+    P: FnMut(u64, &mut T) + Send,
+    C: FnMut(u64, &mut T),
+{
+    if rounds == 0 {
+        return;
+    }
+    std::thread::scope(|scope| {
+        let (full_tx, full_rx) = sync_channel::<T>(PIPELINE_BUFFERS);
+        let (empty_tx, empty_rx) = sync_channel::<T>(PIPELINE_BUFFERS);
+        for _ in 0..PIPELINE_BUFFERS {
+            empty_tx.send(T::default()).expect("receiver is live");
+        }
+        let producer = scope.spawn(move || {
+            for r in 0..rounds {
+                // A closed channel means the consumer stopped (it panicked).
+                let Ok(mut buf) = empty_rx.recv() else { return };
+                produce(r, &mut buf);
+                if full_tx.send(buf).is_err() {
+                    return;
+                }
+            }
+        });
+        // The consumer owns its channel ends, so an unwinding consumer
+        // drops them and the producer's next send or receive fails.
+        let consumed = catch_unwind(AssertUnwindSafe(move || {
+            for r in 0..rounds {
+                // A closed channel means the producer stopped (it panicked).
+                let Ok(mut buf) = full_rx.recv() else { return };
+                consume(r, &mut buf);
+                // The producer may already have finished its last round.
+                let _ = empty_tx.send(buf);
+            }
+        }));
+        if let Err(payload) = producer.join() {
+            panic!("par pipeline producer panicked: {}", detail(&*payload));
+        }
+        if let Err(payload) = consumed {
+            panic!("par pipeline consumer panicked: {}", detail(&*payload));
+        }
+    });
 }
 
 /// Splits `samples` units of seeded work over `n_threads` shards (see
@@ -466,6 +540,84 @@ mod tests {
                 "{msg}"
             );
             assert!(msg.contains("shard data corrupt"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn pipeline_consumes_rounds_in_production_order() {
+        let mut seen = Vec::new();
+        pipeline(
+            100,
+            |r, buf: &mut Vec<u64>| {
+                buf.clear();
+                buf.extend([r, r * r]);
+            },
+            |r, buf| {
+                assert_eq!(*buf, [r, r * r]);
+                seen.push(r);
+            },
+        );
+        assert_eq!(seen, (0..100).collect::<Vec<u64>>());
+        pipeline(
+            0,
+            |_, _: &mut Vec<u64>| panic!("must not run"),
+            |_, _| panic!("must not run"),
+        );
+    }
+
+    #[test]
+    fn pipeline_recycles_its_buffers() {
+        static CREATED: AtomicUsize = AtomicUsize::new(0);
+        struct Buf(Vec<u64>);
+        impl Default for Buf {
+            fn default() -> Self {
+                CREATED.fetch_add(1, Ordering::Relaxed);
+                Self(Vec::new())
+            }
+        }
+        pipeline(
+            500,
+            |r, buf: &mut Buf| {
+                // Past the first rounds a buffer comes back with an
+                // earlier round's contents.
+                assert_eq!(buf.0.is_empty(), r < PIPELINE_BUFFERS as u64, "round {r}");
+                buf.0.clear();
+                buf.0.push(r);
+            },
+            |r, buf| assert_eq!(buf.0, [r]),
+        );
+        assert_eq!(CREATED.load(Ordering::Relaxed), PIPELINE_BUFFERS);
+    }
+
+    #[test]
+    fn pipeline_panics_are_reraised_with_the_side_named() {
+        for (side, round) in [
+            ("producer", 0),
+            ("producer", 7),
+            ("consumer", 0),
+            ("consumer", 7),
+        ] {
+            let msg = panic_message(std::panic::catch_unwind(|| {
+                pipeline(
+                    1000,
+                    |r, _: &mut Vec<u8>| {
+                        if side == "producer" && r == round {
+                            panic!("draw {r} failed");
+                        }
+                    },
+                    |r, _| {
+                        if side == "consumer" && r == round {
+                            panic!("draw {r} failed");
+                        }
+                    },
+                );
+            }));
+            assert!(
+                msg.contains(&format!(
+                    "par pipeline {side} panicked: draw {round} failed"
+                )),
+                "{msg}"
+            );
         }
     }
 

@@ -12,10 +12,12 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== embed kernel, hotspot oracle and serve (HNSW recall) tests at the shipped opt level =="
+echo "== embed kernel, hotspot oracle, serve (HNSW recall), thread driver and golden fingerprint tests at the shipped opt level =="
 cargo test -q --release -p actor-embed
 cargo test -q --release -p actor-hotspot
 cargo test -q --release -p actor-serve
+cargo test -q --release -p actor-par
+cargo test -q --release --test parallel_determinism
 
 echo "== resilience acceptance suite =="
 cargo test -q --test resilience
